@@ -29,7 +29,7 @@
 #include "core/executor/result_cache.h"
 #include "core/operators/physical_ops.h"
 #include "core/optimizer/cardinality.h"
-#include "core/optimizer/cost_learner.h"
+#include "core/optimizer/cost_model.h"
 #include "core/optimizer/enumerator.h"
 #include "core/optimizer/stats_catalog.h"
 #include "data/serialization.h"
@@ -676,7 +676,6 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
                 held->push_back(std::move(conv));
                 continue;
               }
-              CountIfEnabled(boundary_misses_counter, 1);
               RHEEM_RETURN_IF_ERROR(FaultInjector::Global().Hit(
                   "executor.boundary_convert",
                   "producer=" + std::to_string(producer->id()) +
@@ -710,11 +709,16 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
                   metrics.wall_micros += sw.ElapsedMicros();
                 }
               }
+              // Only the charged conversion is a miss, so hits always
+              // equal boundary_conversions_reused.
               if (inserted) {
+                CountIfEnabled(boundary_misses_counter, 1);
                 CountIfEnabled(moved_records_counter,
                                static_cast<int64_t>(data->size()));
                 CountIfEnabled(moved_bytes_counter,
                                static_cast<int64_t>(wire.size()));
+              } else {
+                CountIfEnabled(boundary_hits_counter, 1);
               }
               (*boundary)[producer->id()] = shared.get();
               held->push_back(std::move(shared));
@@ -856,8 +860,7 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
             }
             observe_outputs_locked(stage, shared_outs);
             if (stats_catalog_ != nullptr) {
-              auto est_cost =
-                  CostCalibrator::EstimateStageCost(stage, live_estimates);
+              auto est_cost = EstimateStageCost(stage, live_estimates);
               if (est_cost.ok()) est_stage_cost = *est_cost;
             }
           }

@@ -20,7 +20,8 @@ namespace kernels {
 /// Execution operators are platform-*dependent* wrappers (paper §3.1): the
 /// javasim platform applies a kernel to its whole input eagerly; sparksim
 /// applies the same kernel per partition and adds shuffles around the
-/// key-based ones; relsim substitutes its own relational engine where it can.
+/// key-based ones; relsim runs them after ingesting its boundary inputs
+/// through the columnar Batch format.
 /// Centralizing the data-path logic here keeps the three platforms honest:
 /// they differ in *execution strategy* (the thing the paper studies), not in
 /// operator semantics.

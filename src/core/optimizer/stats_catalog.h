@@ -31,8 +31,9 @@ namespace rheem {
 /// platform assignment transfers to every enumeration alternative.
 ///
 /// Cost factors are geometric means of observed/estimated cost ratios per
-/// (operator kind, platform) — the same discipline as CostCalibrator, but
-/// persistent and at operator granularity.
+/// (operator kind, platform): the executor prices each completed stage with
+/// EstimateStageCost (cost_model.h) and attributes the stage's ratio to
+/// every operator kind it ran.
 ///
 /// Persistence uses the checkpoint framing discipline (RCKP1-style): a
 /// magic ("RSTC1") plus 16 lowercase-hex FNV-1a digits over the payload.

@@ -152,6 +152,17 @@ void NetServer::AcceptLoop() {
       continue;
     }
 
+    // Join the sessions that closed since the last accept, outside mu_, so
+    // a long-lived server keeps no exited thread stack per connection.
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      exited.swap(finished_);
+    }
+    for (std::thread& t : exited) {
+      if (t.joinable()) t.join();
+    }
+
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
@@ -227,7 +238,7 @@ void NetServer::SessionLoop(Session* session) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(session->id);
     // Move our own thread handle out before the Session object dies; the
-    // Shutdown path joins it from finished_.
+    // next accept (or Shutdown) joins it from finished_.
     finished_.push_back(std::move(session->thread));
     sessions_.erase(it);
     ++sessions_closed_;

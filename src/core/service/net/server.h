@@ -42,7 +42,8 @@ struct NetServerStats {
 /// paper's one-engine-for-many-apps deployment made reachable over a socket.
 ///
 /// Thread model: one acceptor thread plus one blocking thread per
-/// connection (a session). A session must HELLO first — the auth token
+/// connection (a session); the acceptor joins closed sessions' threads
+/// before it starts the next one. A session must HELLO first — the auth token
 /// resolves to a tenant — then SUBMITs SQL (compiled by the PR-8 frontend
 /// and admitted through the context's JobServer), POLLs, CANCELs, and
 /// FETCHes results page by page: each PAGE re-encodes only that page's rows

@@ -19,8 +19,8 @@ struct Field {
 /// \brief Ordered list of named, typed columns describing a Dataset.
 ///
 /// Schemas are advisory in RHEEM's UDF-first model (operators may emit
-/// records of any shape), but the relational platform (relsim) and the
-/// storage layer require them, and Validate() lets tests pin shapes down.
+/// records of any shape), but the SQL frontend's catalogs require them, and
+/// Validate() lets tests pin shapes down.
 class Schema {
  public:
   Schema() = default;

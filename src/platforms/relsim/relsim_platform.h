@@ -8,14 +8,17 @@ namespace rheem {
 
 /// \brief The relational platform (the reproduction's PostgreSQL stand-in).
 ///
-/// Supports only the relational subset of the physical operator pool —
-/// filters, projections, aggregations, equi-joins, sort, distinct, union —
-/// and none of the UDF-iteration machinery (no Map/FlatMap/BroadcastMap, no
-/// loops). Its cost model makes scans/aggregations cheap and its boundary
-/// expensive: entering the platform columnarizes the data into its native
-/// Table format (real work), which is why the optimizer only routes
+/// Like every platform it is its operator mappings, cost model and stage
+/// executor. The mappings cover only the relational subset of the physical
+/// operator pool — filters, projections, aggregations, equi-joins, sort,
+/// distinct, union — and none of the UDF-iteration machinery (no
+/// Map/FlatMap/BroadcastMap, no loops). Its cost model makes
+/// scans/aggregations cheap and its boundary expensive: entering the
+/// platform columnarizes each boundary input into a Batch and back (real
+/// work; inputs Batch cannot hold stay rows and count
+/// `batch.fallbacks_total`), which is why the optimizer only routes
 /// aggregation-heavy subplans here when they are large enough to amortize
-/// the ingestion (ablation A2).
+/// the ingestion (ablation A2). Stages then run on the shared kernels.
 ///
 /// Config keys:
 ///   relsim.per_quantum_us (double, default 0.012)

@@ -71,5 +71,9 @@ TEST(FormatBytesTest, BinaryUnits) {
   EXPECT_EQ(FormatBytes(3 * 1024 * 1024), "3.00 MiB");
 }
 
+TEST(SqlQuoteStringTest, DoublesEmbeddedQuotes) {
+  EXPECT_EQ(SqlQuoteString("O'Brien"), "'O''Brien'");
+}
+
 }  // namespace
 }  // namespace rheem

@@ -8,12 +8,14 @@
 #include "core/service/net/server.h"
 
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -504,6 +506,52 @@ TEST_F(NetServiceTest, StatsCountTheSessionLifecycle) {
   EXPECT_EQ(s.submits, 1);
   EXPECT_GE(s.frames_received, 4);  // HELLO, SUBMIT, >=1 POLL/FETCH, BYE
   EXPECT_GE(s.pages_served, 1);
+}
+
+// A long-lived server must not keep an exited thread stack for every
+// connection it ever closed: the acceptor joins closed sessions' threads
+// before starting the next session, long before Shutdown.
+TEST_F(NetServiceTest, ClosedSessionThreadsAreJoinedWhileServing) {
+  StartServer();
+  auto vm_size_kib = []() -> int64_t {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+    }
+    return -1;
+  };
+  int64_t closed = 0;
+  auto open_and_close = [&]() {
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+    ASSERT_TRUE(client.Bye().ok());
+    ++closed;
+    for (int i = 0; i < 400 && server_->stats().sessions_closed < closed; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(server_->stats().sessions_closed, closed);
+  };
+  // Warm-up: the first sessions populate allocator arenas and the stack
+  // cache that later session threads reuse.
+  for (int i = 0; i < 4; ++i) open_and_close();
+
+  const int64_t before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 64; ++i) open_and_close();
+  const int64_t grown_kib = vm_size_kib() - before;
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const int64_t stack_kib = static_cast<int64_t>(stack_bytes / 1024);
+  // 64 parked threads would pin 64 stacks; joined ones are reused.
+  EXPECT_LT(grown_kib, 8 * stack_kib)
+      << "VmSize grew " << grown_kib << " KiB over 64 sessions (stack "
+      << stack_kib << " KiB)";
+  EXPECT_EQ(server_->stats().sessions_active, 0u);
 }
 
 }  // namespace

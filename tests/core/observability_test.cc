@@ -396,6 +396,8 @@ TEST_F(ObservabilityTest, CountersReconcileWithJobResult) {
             result->metrics.moved_records);
   EXPECT_EQ(delta("executor.moved_bytes_total"), result->metrics.moved_bytes);
   EXPECT_EQ(delta("executor.retries_total"), result->metrics.retries);
+  EXPECT_EQ(delta("executor.boundary_cache_hits"),
+            result->metrics.boundary_conversions_reused);
 }
 
 // The retry path must reconcile exactly like the clean path: attempts match
@@ -808,6 +810,12 @@ TEST_F(ObservabilityTest, MovedBytesCountOncePerMultiConsumerEdge) {
             approximated.metrics.moved_records);
   EXPECT_EQ(delta(s1, s2, "executor.moved_bytes_total"),
             approximated.metrics.moved_bytes);
+  // Every consumer that shares a conversion is a cache hit, including one
+  // that lost the race to insert it.
+  EXPECT_EQ(delta(s0, s1, "executor.boundary_cache_hits"),
+            serialized.metrics.boundary_conversions_reused);
+  EXPECT_EQ(delta(s1, s2, "executor.boundary_cache_hits"),
+            approximated.metrics.boundary_conversions_reused);
 }
 
 // Satellite 4 regression: hammer Snapshot()/ExportChromeTrace()/ReportText()

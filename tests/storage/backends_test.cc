@@ -1,7 +1,10 @@
 #include <filesystem>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/api/context.h"
+#include "core/sql/sql.h"
 #include "storage/csv_store.h"
 #include "storage/kv_store.h"
 #include "storage/mem_column_store.h"
@@ -17,6 +20,22 @@ Dataset People() {
   rows.push_back(Record({Value(2), Value("bob"), Value(2.0)}));
   rows.push_back(Record({Value(3), Value("cyn"), Value(4.25)}));
   return Dataset(std::move(rows));
+}
+
+/// Shapes a columnar Batch cannot hold: a double_list cell and a column
+/// mixing int64 and double cells.
+Dataset Irregular() {
+  std::vector<Record> rows;
+  rows.push_back(Record({Value(1), Value(7), Value(std::vector<double>{0.5})}));
+  rows.push_back(
+      Record({Value(2), Value(2.5), Value(std::vector<double>{1.0, 2.0})}));
+  return Dataset(std::move(rows));
+}
+
+std::multiset<std::string> Bag(const Dataset& data) {
+  std::multiset<std::string> bag;
+  for (const Record& r : data.records()) bag.insert(r.ToString());
+  return bag;
 }
 
 /// Shared backend contract exercised for every implementation.
@@ -49,11 +68,14 @@ TEST_P(BackendContractTest, PutGetRoundTrip) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), 3u);
   // Bag equality (kv-store may reorder by key; keys here are sorted anyway).
-  std::multiset<std::string> expected, got;
-  const Dataset people = People();
-  for (const Record& r : people.records()) expected.insert(r.ToString());
-  for (const Record& r : out->records()) got.insert(r.ToString());
-  EXPECT_EQ(got, expected);
+  EXPECT_EQ(Bag(*out), Bag(People()));
+}
+
+TEST_P(BackendContractTest, IrregularDatasetRoundTrips) {
+  ASSERT_TRUE(backend_->Put("irregular", Irregular()).ok());
+  auto out = backend_->Get("irregular");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(Bag(*out), Bag(Irregular()));
 }
 
 TEST_P(BackendContractTest, GetMissingIsNotFound) {
@@ -178,13 +200,29 @@ TEST(KvStoreTest, DuplicateKeysKeepAllRecords) {
   EXPECT_EQ(store.Get("t")->size(), 2u);
 }
 
-TEST(MemColumnStoreTest, NativeTableAccess) {
-  MemColumnStore store;
-  ASSERT_TRUE(store.Put("t", People()).ok());
-  auto table = store.GetTable("t");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->num_rows(), 3u);
-  EXPECT_EQ((*table)->num_columns(), 3u);
+// StorageCatalog refuses schema-less datasets, so the columnar store infers
+// c0..cN from the first record when Put carries no schema.
+TEST(MemColumnStoreTest, SchemalessPutGetsInferredSchemaAndStaysQueryable) {
+  StorageManager manager;
+  ASSERT_TRUE(manager.RegisterBackend(std::make_unique<MemColumnStore>()).ok());
+  ASSERT_TRUE(manager.Put("mem-column", "people", People()).ok());
+  auto out = manager.Backend("mem-column").ValueOrDie()->Get("people");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_TRUE(out->has_schema());
+  EXPECT_EQ(out->schema(),
+            Schema::Of({{"c0", ValueType::kInt64},
+                        {"c1", ValueType::kString},
+                        {"c2", ValueType::kDouble}}));
+
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  ASSERT_TRUE(ctx.AttachStorage(&manager).ok());
+  auto stmt = ctx.Sql("SELECT c1 FROM people WHERE c2 > 3.0");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto rows = stmt->Collect();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(Bag(*rows), Bag(Dataset(std::vector<Record>{
+                            Record({Value("ada")}), Record({Value("cyn")})})));
 }
 
 TEST(StorageManagerTest, RoutesByExistence) {
