@@ -9,6 +9,7 @@
 #include "common/trace.h"
 #include "core/api/logical_nodes.h"
 #include "core/optimizer/enumerator.h"
+#include "core/optimizer/fingerprint.h"
 #include "core/optimizer/logical_rewrites.h"
 #include "core/optimizer/stats_catalog.h"
 #include "core/service/job_server.h"
@@ -295,7 +296,7 @@ Result<CompiledJob> RheemContext::Compile(const Plan& logical_plan,
     // with observed numbers instead of static selectivity guesses.
     EstimateMap learned;
     if (stats_ != nullptr) {
-      auto fps = ComputeCardinalityFingerprints(*physical);
+      auto fps = PlanFingerprint::SubPlans(*physical);
       if (fps.ok()) {
         for (const auto& [op_id, fp] : *fps) {
           Estimate e;

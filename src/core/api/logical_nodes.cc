@@ -1,10 +1,5 @@
 #include "core/api/logical_nodes.h"
 
-#include <limits>
-
-#include "core/expr/expr.h"
-#include "core/optimizer/fingerprint.h"
-
 namespace rheem {
 
 int GenericLogicalOp::arity() const {
@@ -69,150 +64,67 @@ double GenericLogicalOp::SelectivityHint() const {
   }
 }
 
-std::string GenericLogicalOp::FingerprintToken() const {
-  std::string t = kind_name();
-  if (!pinned_platform.empty()) t += "|pin=" + pinned_platform;
-  t += "|sel=" + std::to_string(SelectivityHint());
-  t += "|cost=" + std::to_string(CostHint());
+OpIdentity GenericLogicalOp::Describe(OpIdentity::Form form) const {
+  OpIdentity id(form, kind_name());
   switch (kind_) {
-    case OpKind::kCollectionSource:
-      t += "|data=" + std::to_string(PlanFingerprint::OfDataset(source_data));
-      break;
-    case OpKind::kFilter:
-      // Declarative predicates fold their canonical encoding — including
-      // every constant — so two jobs differing only in a predicate literal
-      // can never share a plan-cache entry. Closure predicates have no
-      // encoding and remain "assumed by shape" (see docs/job_service.md).
-      if (predicate.expr != nullptr) {
-        t += "|expr=" + expr::Canonical(*predicate.expr);
-      }
-      break;
-    case OpKind::kMap:
-      if (!map.projection.empty()) {
-        t += "|proj=";
-        for (const auto& f : map.projection) {
-          t += expr::Canonical(*f) + ";";
-        }
-      }
-      break;
-    case OpKind::kThetaJoin:
-      if (theta.pair_expr != nullptr) {
-        t += "|expr=" + expr::Canonical(*theta.pair_expr);
-      }
-      break;
-    case OpKind::kProject:
-      t += "|cols=";
-      for (int c : columns) t += std::to_string(c) + ",";
-      break;
-    case OpKind::kSample:
-      t += "|frac=" + std::to_string(fraction) +
-           "|seed=" + std::to_string(seed);
-      break;
+    case OpKind::kCollectionSource: id.Add(source_data); break;
+    case OpKind::kMap: id.Add(map); break;
+    case OpKind::kFilter: id.Add(predicate); break;
+    case OpKind::kProject: id.AddColumns(columns); break;
+    case OpKind::kSort: id.Add(key); break;
+    case OpKind::kSample: id.AddSample(fraction, seed); break;
     case OpKind::kReduceByKey:
-      // Declarative reductions fold the key expression and the column-wise
-      // aggregate spec, so two jobs aggregating the same shape differently
-      // (sum vs. max, different key column) never share a cache entry.
-      // Closure reductions stay "assumed by shape" like closure filters.
-      if (key.expr != nullptr) t += "|key=" + expr::Canonical(*key.expr);
-      if (!reduce.aggs.empty()) {
-        t += "|aggs=";
-        for (const AggSpec& a : reduce.aggs) {
-          t += std::string(AggKindToString(a.kind)) + "(" +
-               std::to_string(a.column) + ");";
-        }
-      }
+      id.Add(key);
+      id.Add(reduce);
       break;
     case OpKind::kGroupByKey:
-      t += groupby_algorithm == GroupByAlgorithm::kHash ? "|hash" : "|sort";
-      if (key.expr != nullptr) t += "|key=" + expr::Canonical(*key.expr);
+      id.Add(key);
+      id.AddClosure();
       break;
-    case OpKind::kJoin:
-      t += join_algorithm == JoinAlgorithm::kHash ? "|hash" : "|merge";
-      if (key.expr != nullptr) t += "|lk=" + expr::Canonical(*key.expr);
-      if (key2.expr != nullptr) t += "|rk=" + expr::Canonical(*key2.expr);
-      break;
-    case OpKind::kIEJoin:
-      t += "|ie=" + std::to_string(iejoin.left_col1) +
-           CompareOpToString(iejoin.op1) + std::to_string(iejoin.right_col1) +
-           "&" + std::to_string(iejoin.left_col2) +
-           CompareOpToString(iejoin.op2) + std::to_string(iejoin.right_col2);
-      break;
+    case OpKind::kGlobalReduce: id.Add(reduce); break;
+    case OpKind::kJoin: id.AddJoinKeys(key, key2); break;
+    case OpKind::kThetaJoin: id.Add(theta); break;
+    case OpKind::kIEJoin: id.Add(iejoin); break;
     case OpKind::kTopK:
-      t += "|k=" + std::to_string(topk) + (ascending ? "|asc" : "|desc");
-      // Declarative order keys fold their canonical encoding: two SQL
-      // queries differing only in the ORDER BY expression must never share
-      // a plan-cache entry.
-      if (key.expr != nullptr) t += "|key=" + expr::Canonical(*key.expr);
-      break;
-    case OpKind::kSort:
-      if (key.expr != nullptr) t += "|key=" + expr::Canonical(*key.expr);
+      id.AddTopK(topk, ascending);
+      id.Add(key);
       break;
     case OpKind::kRepeat:
     case OpKind::kDoWhile:
       if (loop != nullptr) {
-        t += "|iters=" + std::to_string(loop->is_do_while
-                                            ? loop->max_iterations
-                                            : loop->iterations);
-        if (loop->body != nullptr) {
-          auto body_fp = PlanFingerprint::Compute(*loop->body);
-          t += "|body=" + std::to_string(body_fp.ValueOr(0));
-        }
+        const bool do_while = kind_ == OpKind::kDoWhile;
+        id.AddLoop(do_while ? loop->max_iterations : loop->iterations,
+                   loop->body.get());
+        if (do_while) id.AddClosure();
       }
+      break;
+    case OpKind::kFlatMap:
+    case OpKind::kBroadcastMap:
+      id.AddClosure();
       break;
     default:
       break;
+  }
+  return id;
+}
+
+std::string GenericLogicalOp::FingerprintToken() const {
+  // Planning inputs follow the payload: they steer the optimizer, so they
+  // key the plan cache, but they never change the output bag.
+  std::string t = Describe(OpIdentity::Form::kToken).str();
+  if (!pinned_platform.empty()) t += "|pin=" + pinned_platform;
+  t += "|sel=" + std::to_string(SelectivityHint()) +
+       "|cost=" + std::to_string(CostHint());
+  if (kind_ == OpKind::kJoin) {
+    t += join_algorithm == JoinAlgorithm::kHash ? "|hash" : "|merge";
+  } else if (kind_ == OpKind::kGroupByKey) {
+    t += groupby_algorithm == GroupByAlgorithm::kHash ? "|hash" : "|sort";
   }
   return t;
 }
 
 std::string GenericLogicalOp::Detail() const {
-  switch (kind_) {
-    case OpKind::kFilter:
-      if (predicate.expr != nullptr) {
-        return "filter=" + expr::Pretty(*predicate.expr);
-      }
-      return "";
-    case OpKind::kMap: {
-      if (map.projection.empty()) return "";
-      std::string out = "map=[";
-      for (std::size_t i = 0; i < map.projection.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += expr::Pretty(*map.projection[i]);
-      }
-      return out + "]";
-    }
-    case OpKind::kJoin:
-      if (key.expr == nullptr || key2.expr == nullptr) return "";
-      return "join=(" + expr::Pretty(*key.expr) + ", " +
-             expr::Pretty(*key2.expr) + ")";
-    case OpKind::kThetaJoin:
-      if (theta.pair_expr != nullptr) {
-        return "theta=" + expr::Pretty(*theta.pair_expr);
-      }
-      return "";
-    case OpKind::kReduceByKey: {
-      if (key.expr == nullptr || reduce.aggs.empty()) return "";
-      std::string out = "key=" + expr::Pretty(*key.expr) + " aggs=[";
-      for (std::size_t i = 0; i < reduce.aggs.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += std::string(AggKindToString(reduce.aggs[i].kind)) + "($" +
-               std::to_string(reduce.aggs[i].column) + ")";
-      }
-      return out + "]";
-    }
-    case OpKind::kTopK: {
-      // INT64_MAX is the "no LIMIT" sentinel (full ORDER BY).
-      std::string out =
-          (topk == std::numeric_limits<int64_t>::max()
-               ? std::string("k=all")
-               : "k=" + std::to_string(topk)) +
-          (ascending ? " asc" : " desc");
-      if (key.expr != nullptr) out += " key=" + expr::Pretty(*key.expr);
-      return out;
-    }
-    default:
-      return "";
-  }
+  return Describe(OpIdentity::Form::kDetail).str();
 }
 
 double GenericLogicalOp::CostHint() const {

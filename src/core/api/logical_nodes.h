@@ -51,17 +51,15 @@ class GenericLogicalOp : public LogicalOperator {
   double SelectivityHint() const override;
   double CostHint() const override;
 
-  /// Folds the payload slots that determine semantics beyond the kind —
-  /// source data content, projection columns, sample parameters, algorithm
-  /// choices, TopK/loop bounds, platform pin, UDF metadata — so the plan
-  /// cache never conflates two differently-parameterized queries.
+  /// Plan-cache token: the payload, encoded exactly as the physical
+  /// operator it translates to encodes it (OpIdentity), plus the planning
+  /// inputs — platform pin, selectivity and cost hints, requested join or
+  /// group-by algorithm — which steer the optimizer but not the output.
   std::string FingerprintToken() const override;
 
-  /// Human-readable rendering of the declarative payload (predicate /
-  /// projection / key expressions, aggregate specs, TopK bounds), or "" when
-  /// the operator carries only opaque closures. Used to annotate logical
-  /// plan printouts (SQL EXPLAIN, golden tests) the same way
-  /// DeclarativeDetail annotates physical plans.
+  /// EXPLAIN rendering of the payload, the same text the translated
+  /// physical operator's Detail() prints; "" when nothing is declarative.
+  /// Annotates logical plan printouts (SQL EXPLAIN, golden tests).
   std::string Detail() const;
 
   // --- payload slots (filled by the DataQuanta builder) -------------------
@@ -88,6 +86,8 @@ class GenericLogicalOp : public LogicalOperator {
   std::string pinned_platform;
 
  private:
+  OpIdentity Describe(OpIdentity::Form form) const;
+
   OpKind kind_;
 };
 

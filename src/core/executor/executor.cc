@@ -31,6 +31,7 @@
 #include "core/optimizer/cardinality.h"
 #include "core/optimizer/cost_model.h"
 #include "core/optimizer/enumerator.h"
+#include "core/optimizer/fingerprint.h"
 #include "core/optimizer/stats_catalog.h"
 #include "data/serialization.h"
 
@@ -127,17 +128,14 @@ Status RunStagesDag(const std::vector<Stage>& stages, ThreadPool* pool,
   }
 }
 
-/// EXPLAIN ANALYZE-style text: one line per stage attempt (in stage/attempt
-/// order regardless of the concurrent completion order), failover events,
-/// and job totals.
 /// Joined declarative payloads of the stage's operators, for the report and
 /// the per-attempt trace span; "" when every UDF is a closure.
-std::string StageDeclarativeDetail(const Stage& stage) {
+std::string StageDetail(const Stage& stage) {
   std::string out;
   for (const Operator* op : stage.ops()) {
     auto* phys = dynamic_cast<const PhysicalOperator*>(op);
     if (phys == nullptr) continue;
-    const std::string detail = DeclarativeDetail(*phys);
+    const std::string detail = phys->Detail();
     if (detail.empty()) continue;
     if (!out.empty()) out += "; ";
     out += detail;
@@ -145,6 +143,9 @@ std::string StageDeclarativeDetail(const Stage& stage) {
   return out;
 }
 
+/// EXPLAIN ANALYZE-style text: one line per stage attempt (in stage/attempt
+/// order regardless of the concurrent completion order), failover events,
+/// and job totals.
 std::string BuildExecutionReport(
     std::vector<ExecutionMonitor::StageRecord> records,
     const ExecutionMetrics& metrics,
@@ -283,8 +284,6 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
                          config_.GetInt("executor.failover_threshold", 3));
   RHEEM_ASSIGN_OR_RETURN(int64_t max_failovers,
                          config_.GetInt("executor.max_failovers", 2));
-  RHEEM_ASSIGN_OR_RETURN(bool serialize_boundaries,
-                         config_.GetBool("executor.serialize_boundaries", true));
   RHEEM_ASSIGN_OR_RETURN(bool parallel_stages,
                          config_.GetBool("executor.parallel_stages", true));
   RHEEM_ASSIGN_OR_RETURN(std::string checkpoint_dir,
@@ -375,13 +374,11 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
 
   // Per-job boundary-conversion cache: one encode/decode per
   // (producer, target platform) edge no matter how many consumer stages
-  // share it. Movement totals are charged exactly once per edge, in both
-  // the serialized and the approximated (non-serialized) path. Both maps
-  // survive failover re-plans — their keys are op-id/platform pairs, which
+  // share it, so movement totals are charged exactly once per edge. It
+  // survives failover re-plans — its keys are op-id/platform pairs, which
   // a re-enumeration does not invalidate.
   std::map<std::pair<int, std::string>, std::shared_ptr<const Dataset>>
-      conversion_cache;                              // guarded by `mu`
-  std::set<std::pair<int, std::string>> moved_edges;  // guarded by `mu`
+      conversion_cache;  // guarded by `mu`
 
   // Platform health for failover: consecutive stage-attempt failures per
   // platform (reset on any success). When a stage exhausts its retries the
@@ -434,7 +431,7 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
     // failures just disable reuse for this job; they never fail the job.
     auto subplan_fps = std::make_shared<std::map<int, uint64_t>>();
     if (use_result_cache) {
-      auto fps = ComputeSubPlanFingerprints(rplan);
+      auto fps = PlanFingerprint::SubPlans(*rplan.plan, &rplan.assignment);
       if (fps.ok()) {
         *subplan_fps = std::move(fps).ValueOrDie();
       } else {
@@ -658,88 +655,70 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
           if (crosses) {
             const auto edge =
                 std::make_pair(producer->id(), stage.platform()->name());
-            if (serialize_boundaries) {
-              std::shared_ptr<const Dataset> conv;
-              {
-                std::lock_guard<std::mutex> lock(mu);
-                auto it = conversion_cache.find(edge);
-                if (it != conversion_cache.end()) conv = it->second;
-              }
-              if (conv != nullptr) {
-                // Another consumer stage already paid this edge's conversion.
-                CountIfEnabled(boundary_hits_counter, 1);
-                {
-                  std::lock_guard<std::mutex> lock(mu);
-                  metrics.boundary_conversions_reused += 1;
-                }
-                (*boundary)[producer->id()] = conv.get();
-                held->push_back(std::move(conv));
-                continue;
-              }
-              RHEEM_RETURN_IF_ERROR(FaultInjector::Global().Hit(
-                  "executor.boundary_convert",
-                  "producer=" + std::to_string(producer->id()) +
-                      ",platform=" + stage.platform()->name()));
-              // Real work: encode on the producer side, decode on the
-              // consumer side (ChannelKind::kSerializedStream); runs
-              // outside the lock.
-              Stopwatch sw;
-              std::string wire = Serializer::EncodeDataset(*data);
-              auto decoded = Serializer::DecodeDataset(wire);
-              if (!decoded.ok()) {
-                return decoded.status().WithContext("boundary conversion");
-              }
-              auto shared = std::make_shared<const Dataset>(
-                  std::move(decoded).ValueOrDie());
-              bool inserted = false;
-              {
-                std::lock_guard<std::mutex> lock(mu);
-                auto emplaced = conversion_cache.emplace(edge, shared);
-                inserted = emplaced.second;
-                if (!inserted) {
-                  // Raced with another consumer: share the winner's
-                  // conversion and charge nothing — the edge was already
-                  // paid for.
-                  shared = emplaced.first->second;
-                  metrics.boundary_conversions_reused += 1;
-                } else {
-                  // Movement totals: once per (producer, platform) edge.
-                  metrics.moved_records += static_cast<int64_t>(data->size());
-                  metrics.moved_bytes += static_cast<int64_t>(wire.size());
-                  metrics.wall_micros += sw.ElapsedMicros();
-                }
-              }
-              // Only the charged conversion is a miss, so hits always
-              // equal boundary_conversions_reused.
-              if (inserted) {
-                CountIfEnabled(boundary_misses_counter, 1);
-                CountIfEnabled(moved_records_counter,
-                               static_cast<int64_t>(data->size()));
-                CountIfEnabled(moved_bytes_counter,
-                               static_cast<int64_t>(wire.size()));
-              } else {
-                CountIfEnabled(boundary_hits_counter, 1);
-              }
-              (*boundary)[producer->id()] = shared.get();
-              held->push_back(std::move(shared));
-              continue;
-            }
-            // Approximated movement (no real conversion): still charge each
-            // edge exactly once, however many consumer stages share it.
-            bool first_crossing = false;
+            std::shared_ptr<const Dataset> conv;
             {
               std::lock_guard<std::mutex> lock(mu);
-              first_crossing = moved_edges.insert(edge).second;
+              auto it = conversion_cache.find(edge);
+              if (it != conversion_cache.end()) conv = it->second;
             }
-            if (first_crossing) {
-              const int64_t approx_bytes = Serializer::EncodedSize(*data);
+            if (conv != nullptr) {
+              // Another consumer stage already paid this edge's conversion.
+              CountIfEnabled(boundary_hits_counter, 1);
+              {
+                std::lock_guard<std::mutex> lock(mu);
+                metrics.boundary_conversions_reused += 1;
+              }
+              (*boundary)[producer->id()] = conv.get();
+              held->push_back(std::move(conv));
+              continue;
+            }
+            RHEEM_RETURN_IF_ERROR(FaultInjector::Global().Hit(
+                "executor.boundary_convert",
+                "producer=" + std::to_string(producer->id()) +
+                    ",platform=" + stage.platform()->name()));
+            // Real work: encode on the producer side, decode on the
+            // consumer side (ChannelKind::kSerializedStream); runs
+            // outside the lock.
+            Stopwatch sw;
+            std::string wire = Serializer::EncodeDataset(*data);
+            auto decoded = Serializer::DecodeDataset(wire);
+            if (!decoded.ok()) {
+              return decoded.status().WithContext("boundary conversion");
+            }
+            auto shared = std::make_shared<const Dataset>(
+                std::move(decoded).ValueOrDie());
+            bool inserted = false;
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              auto emplaced = conversion_cache.emplace(edge, shared);
+              inserted = emplaced.second;
+              if (!inserted) {
+                // Raced with another consumer: share the winner's
+                // conversion and charge nothing — the edge was already
+                // paid for.
+                shared = emplaced.first->second;
+                metrics.boundary_conversions_reused += 1;
+              } else {
+                // Movement totals: once per (producer, platform) edge.
+                metrics.moved_records += static_cast<int64_t>(data->size());
+                metrics.moved_bytes += static_cast<int64_t>(wire.size());
+                metrics.wall_micros += sw.ElapsedMicros();
+              }
+            }
+            // Only the charged conversion is a miss, so hits always
+            // equal boundary_conversions_reused.
+            if (inserted) {
+              CountIfEnabled(boundary_misses_counter, 1);
               CountIfEnabled(moved_records_counter,
                              static_cast<int64_t>(data->size()));
-              CountIfEnabled(moved_bytes_counter, approx_bytes);
-              std::lock_guard<std::mutex> lock(mu);
-              metrics.moved_records += static_cast<int64_t>(data->size());
-              metrics.moved_bytes += approx_bytes;
+              CountIfEnabled(moved_bytes_counter,
+                             static_cast<int64_t>(wire.size()));
+            } else {
+              CountIfEnabled(boundary_hits_counter, 1);
             }
+            (*boundary)[producer->id()] = shared.get();
+            held->push_back(std::move(shared));
+            continue;
           }
           (*boundary)[producer->id()] = data.get();
           held->push_back(std::move(data));
@@ -770,7 +749,11 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
         attempt_span.AddTag("stage", static_cast<int64_t>(stage.id()));
         attempt_span.AddTag("platform", stage.platform()->name());
         attempt_span.AddTag("attempt", static_cast<int64_t>(attempt));
-        const std::string ops_detail = StageDeclarativeDetail(stage);
+        // Rendered only for a listener: the trace, the report or a monitor.
+        const std::string ops_detail =
+            attempt_span.active() || want_report || monitor_ != nullptr
+                ? StageDetail(stage)
+                : std::string();
         if (!ops_detail.empty()) attempt_span.AddTag("ops", ops_detail);
         ExecutionMetrics stage_metrics;
         Stopwatch sw;
@@ -1146,7 +1129,7 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
   // (or any structurally shared) plan estimates with measured numbers.
   // Fingerprinting failures only cost the learning, never the job.
   if (stats_catalog_ != nullptr) {
-    auto fps = ComputeCardinalityFingerprints(*eplan.plan);
+    auto fps = PlanFingerprint::SubPlans(*eplan.plan);
     if (fps.ok()) {
       std::lock_guard<std::mutex> lock(mu);
       for (const auto& [op_id, est] : observed) {

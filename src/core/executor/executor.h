@@ -71,7 +71,6 @@ struct ExecutionResult {
 ///   executor.failover_threshold (int, default 3): consecutive stage-attempt
 ///       failures on one platform before it is blacked out.
 ///   executor.max_failovers      (int, default 2): re-plans per job.
-///   executor.serialize_boundaries (bool, default true)
 ///   executor.parallel_stages    (bool, default true): run independent stages
 ///       concurrently; disable for strictly serial stage-by-stage execution.
 ///   executor.checkpoint_dir     (string, default "" = off): directory where

@@ -1,7 +1,6 @@
 #include "core/executor/result_cache.h"
 
 #include "common/metrics.h"
-#include "core/optimizer/fingerprint.h"
 
 namespace rheem {
 
@@ -89,38 +88,6 @@ void ResultCache::EvictUntilFitsLocked(int64_t incoming_bytes) {
     ++evictions_;
     CountIfEnabled(registry.counter("result_cache.evictions"), 1);
   }
-}
-
-Result<std::map<int, uint64_t>> ComputeSubPlanFingerprints(
-    const ExecutionPlan& eplan) {
-  if (eplan.plan == nullptr) {
-    return Status::InvalidArgument("execution plan has no physical plan");
-  }
-  RHEEM_ASSIGN_OR_RETURN(std::vector<Operator*> order,
-                         eplan.plan->TopologicalOrder());
-  std::map<int, uint64_t> fps;
-  for (Operator* op : order) {
-    uint64_t h = PlanFingerprint::kSeed;
-    h = PlanFingerprint::Mix(h, op->FingerprintToken());
-    h = PlanFingerprint::Mix(h, op->name());
-    auto assigned = eplan.assignment.by_op.find(op->id());
-    if (assigned != eplan.assignment.by_op.end() &&
-        assigned->second != nullptr) {
-      h = PlanFingerprint::Mix(h, assigned->second->name());
-    }
-    h = PlanFingerprint::Mix(h,
-                             static_cast<uint64_t>(op->inputs().size()));
-    for (const Operator* in : op->inputs()) {
-      auto it = fps.find(in->id());
-      if (it == fps.end()) {
-        return Status::Internal("input op #" + std::to_string(in->id()) +
-                                " missing from topological prefix");
-      }
-      h = PlanFingerprint::Mix(h, it->second);
-    }
-    fps[op->id()] = h;
-  }
-  return fps;
 }
 
 }  // namespace rheem

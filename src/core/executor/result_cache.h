@@ -3,19 +3,17 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
-#include "common/result.h"
-#include "core/optimizer/stage_splitter.h"
 #include "data/dataset.h"
 
 namespace rheem {
 
 /// \brief Thread-safe LRU cache of materialized sub-plan results, keyed by
-/// sub-plan fingerprint (see ComputeSubPlanFingerprints).
+/// sub-plan fingerprint (PlanFingerprint::SubPlans with the platform
+/// assignment).
 ///
 /// The paper's Executor is charged with "reusing materialized results"
 /// (§4.2); a serving deployment sees the same sources and sub-plans again
@@ -29,10 +27,11 @@ namespace rheem {
 /// never copies a row, and concurrent jobs may hold the same entry while it
 /// is evicted (the shared_ptr keeps it alive).
 ///
-/// Like the plan cache, keys trust Operator::FingerprintToken: UDF closure
-/// bodies are assumed equal when tokens, wiring and source content hashes
-/// are equal. Callers that violate that contract opt out per submission
-/// (JobOptions::use_result_cache = false).
+/// Like the plan cache, keys trust Operator::FingerprintToken: every
+/// declared payload is in it, but UDF closure bodies are assumed equal when
+/// tokens, wiring and source content hashes are equal. Callers that violate
+/// that contract opt out per submission (JobOptions::use_result_cache =
+/// false).
 ///
 /// Emits `result_cache.hits` / `result_cache.misses` / `result_cache.inserts`
 /// / `result_cache.evictions` counters and the `result_cache.resident_bytes`
@@ -89,21 +88,6 @@ class ResultCache {
   int64_t inserts_ = 0;
   int64_t evictions_ = 0;
 };
-
-/// Computes, for every operator of `eplan`, the fingerprint of the sub-plan
-/// producing its output: a fold over the operator's FingerprintToken (which
-/// embeds parameters, UDF metadata and — for sources — the input content
-/// hash), its name, its assigned platform, and the fingerprints of its
-/// inputs, recursively. Two operators with equal fingerprints produce equal
-/// results under the FingerprintToken contract, regardless of how their jobs
-/// were split into stages — this is what lets a job reuse a *prefix* of a
-/// previously executed, structurally different job.
-///
-/// The assigned platform is folded in deliberately: platforms agree on bags
-/// but not on row order, and downstream order-sensitive operators (Sample)
-/// must not observe another platform's order.
-Result<std::map<int, uint64_t>> ComputeSubPlanFingerprints(
-    const ExecutionPlan& eplan);
 
 }  // namespace rheem
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 namespace rheem {
@@ -102,17 +103,37 @@ Value FieldValue(const Expr& e, const Record& r) {
   return v;
 }
 
+/// Integer `/` or `%` into *out; false means NULL. A zero divisor is NULL,
+/// and so is INT64_MIN / -1, whose quotient does not fit in int64; x % -1 is
+/// 0. The raw operators trap (SIGFPE) on INT64_MIN / -1 and INT64_MIN % -1.
+bool IntDivMod(ArithKind k, int64_t x, int64_t y, int64_t* out) {
+  if (y == 0) return false;
+  if (y == -1) {
+    if (k == ArithKind::kMod) {
+      *out = 0;
+      return true;
+    }
+    if (x == std::numeric_limits<int64_t>::min()) return false;
+    *out = -x;
+    return true;
+  }
+  *out = k == ArithKind::kDiv ? x / y : x % y;
+  return true;
+}
+
 Value ArithValue(ArithKind k, const Value& a, const Value& b) {
   if (!a.is_numeric() || !b.is_numeric()) return Value::Null();
   if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
     const int64_t x = a.int64_unchecked();
     const int64_t y = b.int64_unchecked();
+    int64_t q = 0;
     switch (k) {
       case ArithKind::kAdd: return Value(x + y);
       case ArithKind::kSub: return Value(x - y);
       case ArithKind::kMul: return Value(x * y);
-      case ArithKind::kDiv: return y == 0 ? Value::Null() : Value(x / y);
-      case ArithKind::kMod: return y == 0 ? Value::Null() : Value(x % y);
+      case ArithKind::kDiv:
+      case ArithKind::kMod:
+        return IntDivMod(k, x, y, &q) ? Value(q) : Value::Null();
     }
     return Value::Null();
   }
@@ -805,19 +826,10 @@ void ArithV(const Expr& e, const BatchView& view, VCol* out) {
         case ArithKind::kSub: out->i64[i] = x - y; break;
         case ArithKind::kMul: out->i64[i] = x * y; break;
         case ArithKind::kDiv:
-          if (y == 0) {
-            MarkVNull(out, i, n);
-            out->i64[i] = 0;
-          } else {
-            out->i64[i] = x / y;
-          }
-          break;
         case ArithKind::kMod:
-          if (y == 0) {
+          if (!IntDivMod(e.arith, x, y, &out->i64[i])) {
             MarkVNull(out, i, n);
             out->i64[i] = 0;
-          } else {
-            out->i64[i] = x % y;
           }
           break;
       }

@@ -1,5 +1,11 @@
 #include "core/operators/descriptors.h"
 
+#include <charconv>
+#include <limits>
+
+#include "core/expr/expr.h"
+#include "core/optimizer/fingerprint.h"
+
 namespace rheem {
 
 namespace {
@@ -86,6 +92,131 @@ bool EvalCompare(CompareOp op, const Value& a, const Value& b) {
     case CompareOp::kGreaterEqual: return c >= 0;
   }
   return false;
+}
+
+OpIdentity::OpIdentity(Form form, const std::string& kind) : form_(form) {
+  if (form_ == Form::kToken) out_ = kind;
+}
+
+void OpIdentity::Part(const char* label, const std::string& text) {
+  if (form_ == Form::kToken) {
+    out_ += '|';
+  } else if (!out_.empty()) {
+    out_ += ' ';
+  }
+  out_ += label;
+  out_ += '=';
+  out_ += text;
+}
+
+std::string OpIdentity::Text(const DeclaredExpr& e) {
+  if (e == nullptr) {
+    opaque_ = true;
+    return "udf";
+  }
+  return form_ == Form::kToken ? expr::Canonical(*e) : expr::Pretty(*e);
+}
+
+void OpIdentity::Add(const MapUdf& map) {
+  if (map.projection.empty()) {
+    opaque_ = true;
+    return;
+  }
+  std::string text = "[";
+  for (std::size_t i = 0; i < map.projection.size(); ++i) {
+    if (i > 0) text += ", ";
+    text += Text(map.projection[i]);
+  }
+  Part("map", text + "]");
+}
+
+void OpIdentity::Slot(const char* label, const DeclaredExpr& e) {
+  if (e == nullptr) {
+    opaque_ = true;
+  } else {
+    Part(label, Text(e));
+  }
+}
+
+void OpIdentity::Add(const PredicateUdf& p) { Slot("filter", p.expr); }
+void OpIdentity::Add(const ThetaUdf& theta) { Slot("theta", theta.pair_expr); }
+void OpIdentity::Add(const KeyUdf& key) { Slot("key", key.expr); }
+
+void OpIdentity::AddJoinKeys(const KeyUdf& left, const KeyUdf& right) {
+  if (left.expr == nullptr && right.expr == nullptr) {
+    opaque_ = true;
+    return;
+  }
+  std::string text = "(";
+  text += Text(left.expr);
+  text += ", ";
+  text += Text(right.expr);
+  Part("join", text + ")");
+}
+
+void OpIdentity::Add(const ReduceUdf& reduce) {
+  if (reduce.aggs.empty()) {
+    opaque_ = true;
+    return;
+  }
+  std::string text = "[";
+  for (std::size_t i = 0; i < reduce.aggs.size(); ++i) {
+    if (i > 0) text += ", ";
+    text += std::string(AggKindToString(reduce.aggs[i].kind)) + "($" +
+            std::to_string(reduce.aggs[i].column) + ")";
+  }
+  Part("aggs", text + "]");
+}
+
+void OpIdentity::Add(const IEJoinSpec& spec) {
+  Part("ie", "($" + std::to_string(spec.left_col1) +
+                 CompareOpToString(spec.op1) + "$" +
+                 std::to_string(spec.right_col1) + ", $" +
+                 std::to_string(spec.left_col2) +
+                 CompareOpToString(spec.op2) + "$" +
+                 std::to_string(spec.right_col2) + ")");
+}
+
+void OpIdentity::AddColumns(const std::vector<int>& columns) {
+  std::string text;
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i > 0) text += ',';
+    text += std::to_string(columns[i]);
+  }
+  Part("cols", text);
+}
+
+void OpIdentity::AddSample(double fraction, uint64_t seed) {
+  // Shortest round-trip text: exact for the key, readable for EXPLAIN.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), fraction);
+  Part("frac", std::string(buf, res.ptr));
+  Part("seed", std::to_string(seed));
+}
+
+void OpIdentity::AddTopK(int64_t k, bool ascending) {
+  Part("k", (k == std::numeric_limits<int64_t>::max() ? std::string("all")
+                                                      : std::to_string(k)) +
+                (ascending ? " asc" : " desc"));
+}
+
+void OpIdentity::Add(const Dataset& source) {
+  if (form_ == Form::kToken) {
+    Part("data", std::to_string(PlanFingerprint::OfDataset(source)));
+  }
+}
+
+void OpIdentity::AddLoop(int bound, const Plan* body) {
+  if (form_ != Form::kToken) return;
+  Part("iters", std::to_string(bound));
+  if (body != nullptr) {
+    Part("body",
+         std::to_string(PlanFingerprint::Compute(*body).ValueOr(0)));
+  }
+}
+
+void OpIdentity::AddSlot(int slot) {
+  if (form_ == Form::kToken) Part("slot", std::to_string(slot));
 }
 
 }  // namespace rheem

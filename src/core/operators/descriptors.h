@@ -157,6 +157,64 @@ struct IEJoinSpec {
   int right_col2 = 0;
 };
 
+class Plan;
+
+/// \brief An operator's identity, assembled payload by payload in one of two
+/// forms. kToken is the canonical token that the plan cache, the result
+/// cache and the statistics catalog key on: every constant is folded in
+/// (expr::Canonical), so payloads that differ never share a key. kDetail is
+/// the EXPLAIN rendering (expr::Pretty), "" when nothing is declarative.
+///
+/// Each payload type has exactly one Add overload, and logical and physical
+/// operators both describe themselves through it, so the two levels cannot
+/// encode one payload two ways. Whichever form is built, opaque() reports
+/// whether a closure with no declared form decides part of the output;
+/// such closures are assumed equal by shape.
+class OpIdentity {
+ public:
+  enum class Form { kToken, kDetail };
+
+  /// `kind` heads the token; the detail form leaves it out.
+  OpIdentity(Form form, const std::string& kind);
+
+  void Add(const MapUdf& map);              // projection
+  void Add(const PredicateUdf& predicate);  // predicate expression
+  void Add(const ThetaUdf& theta);          // pair predicate
+  void Add(const KeyUdf& key);              // key expression
+  void Add(const ReduceUdf& reduce);        // aggregate specs
+  void Add(const IEJoinSpec& spec);
+  void AddJoinKeys(const KeyUdf& left, const KeyUdf& right);
+  void AddColumns(const std::vector<int>& columns);
+  void AddSample(double fraction, uint64_t seed);
+  void AddTopK(int64_t k, bool ascending);  // INT64_MAX renders as k=all
+  /// Source data, folded as a content hash (token form only).
+  void Add(const Dataset& source);
+  /// Loop bound and body, folded as the body's plan fingerprint (token form
+  /// only; the EXPLAIN line of a loop does not print its body).
+  void AddLoop(int bound, const Plan* body);
+  /// Boundary input index of a stage-input placeholder (token form only).
+  void AddSlot(int slot);
+  /// A closure with no declared form: FlatMap, BroadcastMap, a group
+  /// function or a loop condition.
+  void AddClosure() { opaque_ = true; }
+
+  bool opaque() const { return opaque_; }
+  std::string str() && { return std::move(out_); }
+
+ private:
+  /// Appends `|label=text` to a token or ` label=text` to a detail.
+  void Part(const char* label, const std::string& text);
+  /// Canonical or pretty text of a declared expression; "udf" (and opaque)
+  /// for a closure slot.
+  std::string Text(const DeclaredExpr& e);
+  /// Appends a declared expression slot; a closure slot only sets opaque.
+  void Slot(const char* label, const DeclaredExpr& e);
+
+  const Form form_;
+  std::string out_;
+  bool opaque_ = false;
+};
+
 }  // namespace rheem
 
 #endif  // RHEEM_CORE_OPERATORS_DESCRIPTORS_H_

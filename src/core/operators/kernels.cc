@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -257,10 +256,7 @@ Counter* BatchFallbacksCounter() {
 }
 
 std::atomic<bool>& ColumnarFlag() {
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("RHEEM_FORCE_ROW");
-    return env == nullptr || env[0] != '1';
-  }()};
+  static std::atomic<bool> flag{true};
   return flag;
 }
 
@@ -995,7 +991,6 @@ KernelOptions KernelOptions::FromConfig(const Config& config,
                                         ThreadPool* pool) {
   KernelOptions o;
   o.parallel = config.GetBool("kernels.parallel", o.parallel).ValueOr(o.parallel);
-  o.columnar = config.GetBool("kernels.columnar", o.columnar).ValueOr(o.columnar);
   const int64_t morsel =
       config.GetInt("kernels.morsel_size", static_cast<int64_t>(o.morsel_size))
           .ValueOr(static_cast<int64_t>(o.morsel_size));

@@ -38,7 +38,6 @@ namespace kernels {
 /// Config keys (read by KernelOptions::FromConfig):
 ///   kernels.parallel     (bool,  default true)  enable morsel parallelism
 ///   kernels.morsel_size  (int,   default 16384) records per morsel
-///   kernels.columnar     (bool,  default true)  allow columnar batch paths
 struct KernelOptions {
   bool parallel = true;
   /// Allow eligible kernels to convert to a columnar Batch and execute
@@ -59,10 +58,10 @@ struct KernelOptions {
   }
 };
 
-/// Process-wide columnar master switch, initialized from the environment:
-/// RHEEM_FORCE_ROW=1 forces the row path everywhere (used by the fuzz
-/// differential to replay a plan on both engines). SetColumnarEnabled
-/// overrides it at runtime; both engines are byte-identical by contract.
+/// Process-wide columnar master switch, on by default. SetColumnarEnabled
+/// (false) forces the row path everywhere: the fuzz differential, the
+/// columnar tests and bench/kernel_throughput use it as the row reference.
+/// Both engines are byte-identical by contract.
 bool ColumnarEnabled();
 void SetColumnarEnabled(bool enabled);
 

@@ -1,131 +1,83 @@
 #include "core/operators/physical_ops.h"
 
-#include "core/expr/expr.h"
-#include "core/optimizer/fingerprint.h"
-
 namespace rheem {
 
-std::string CollectionSourceOp::FingerprintToken() const {
-  return kind_name() + "|data=" +
-         std::to_string(PlanFingerprint::OfDataset(data_));
+namespace {
+
+template <typename T>
+const T& As(const PhysicalOperator* op) {
+  return *static_cast<const T*>(op);
 }
 
-std::string RepeatOp::FingerprintToken() const {
-  std::string t = kind_name() + "|iters=" + std::to_string(num_iterations_);
-  if (body_ != nullptr) {
-    t += "|body=" + std::to_string(PlanFingerprint::Compute(*body_).ValueOr(0));
-  }
-  return t;
-}
+}  // namespace
 
-std::string DoWhileOp::FingerprintToken() const {
-  std::string t = kind_name() + "|max=" + std::to_string(max_iterations_);
-  if (body_ != nullptr) {
-    t += "|body=" + std::to_string(PlanFingerprint::Compute(*body_).ValueOr(0));
-  }
-  return t;
-}
-
-// Declarative payloads fold their canonical encoding so the executor's
-// result cache (keyed on physical fingerprints) distinguishes plans that
-// differ only in an expression constant. Closure-only operators keep the
-// bare kind token: their parameters are invisible, by construction.
-std::string MapOp::FingerprintToken() const {
-  std::string t = kind_name();
-  if (!udf_.projection.empty()) {
-    t += "|proj=";
-    for (const auto& f : udf_.projection) t += expr::Canonical(*f) + ";";
-  }
-  return t;
-}
-
-std::string FilterOp::FingerprintToken() const {
-  std::string t = kind_name();
-  if (udf_.expr != nullptr) t += "|expr=" + expr::Canonical(*udf_.expr);
-  return t;
-}
-
-std::string JoinOp::FingerprintToken() const {
-  std::string t = kind_name();
-  if (left_key_.expr != nullptr) {
-    t += "|lk=" + expr::Canonical(*left_key_.expr);
-  }
-  if (right_key_.expr != nullptr) {
-    t += "|rk=" + expr::Canonical(*right_key_.expr);
-  }
-  return t;
-}
-
-std::string ThetaJoinOp::FingerprintToken() const {
-  std::string t = kind_name();
-  if (condition_.pair_expr != nullptr) {
-    t += "|expr=" + expr::Canonical(*condition_.pair_expr);
-  }
-  return t;
-}
-
-std::string DeclarativeDetail(const PhysicalOperator& op) {
-  switch (op.kind()) {
-    case OpKind::kFilter: {
-      const auto& udf = static_cast<const FilterOp&>(op).udf();
-      if (udf.expr != nullptr) return "filter=" + expr::Pretty(*udf.expr);
-      return "";
-    }
-    case OpKind::kMap: {
-      const auto& udf = static_cast<const MapOp&>(op).udf();
-      if (udf.projection.empty()) return "";
-      std::string out = "map=[";
-      for (std::size_t i = 0; i < udf.projection.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += expr::Pretty(*udf.projection[i]);
-      }
-      return out + "]";
-    }
-    case OpKind::kJoin: {
-      const auto& j = static_cast<const JoinOp&>(op);
-      if (j.left_key().expr == nullptr || j.right_key().expr == nullptr) {
-        return "";
-      }
-      return "join=(" + expr::Pretty(*j.left_key().expr) + ", " +
-             expr::Pretty(*j.right_key().expr) + ")";
-    }
-    case OpKind::kThetaJoin: {
-      const auto& udf = static_cast<const ThetaJoinOp&>(op).condition();
-      if (udf.pair_expr != nullptr) {
-        return "theta=" + expr::Pretty(*udf.pair_expr);
-      }
-      return "";
-    }
-    default:
-      return "";
-  }
-}
-
-bool HasOpaqueUdf(const PhysicalOperator& op) {
-  switch (op.kind()) {
-    case OpKind::kFilter:
-      return static_cast<const FilterOp&>(op).udf().expr == nullptr;
-    case OpKind::kMap:
-      return static_cast<const MapOp&>(op).udf().projection.empty();
+OpIdentity PhysicalOperator::Describe(OpIdentity::Form form) const {
+  OpIdentity id(form, OpKindToString(kind()));
+  switch (kind()) {
+    case OpKind::kCollectionSource:
+      id.Add(As<CollectionSourceOp>(this).data());
+      break;
+    case OpKind::kStageInput:
+      id.AddSlot(As<StageInputOp>(this).slot());
+      break;
+    case OpKind::kMap: id.Add(As<MapOp>(this).udf()); break;
+    case OpKind::kFilter: id.Add(As<FilterOp>(this).udf()); break;
+    case OpKind::kProject: id.AddColumns(As<ProjectOp>(this).columns()); break;
+    case OpKind::kSort: id.Add(As<SortOp>(this).key()); break;
+    case OpKind::kSample:
+      id.AddSample(As<SampleOp>(this).fraction(), As<SampleOp>(this).seed());
+      break;
+    case OpKind::kReduceByKey:
+      id.Add(As<ReduceByKeyOp>(this).key());
+      id.Add(As<ReduceByKeyOp>(this).reduce());
+      break;
+    case OpKind::kGroupByKey:
+      id.Add(As<GroupByKeyOp>(this).key());
+      id.AddClosure();
+      break;
+    case OpKind::kGlobalReduce:
+      id.Add(As<GlobalReduceOp>(this).reduce());
+      break;
+    case OpKind::kJoin:
+      id.AddJoinKeys(As<JoinOp>(this).left_key(), As<JoinOp>(this).right_key());
+      break;
+    case OpKind::kThetaJoin:
+      id.Add(As<ThetaJoinOp>(this).condition());
+      break;
+    case OpKind::kIEJoin: id.Add(As<IEJoinOp>(this).spec()); break;
+    case OpKind::kTopK:
+      id.AddTopK(As<TopKOp>(this).k(), As<TopKOp>(this).ascending());
+      id.Add(As<TopKOp>(this).key());
+      break;
+    case OpKind::kRepeat:
+      id.AddLoop(As<RepeatOp>(this).num_iterations(),
+                 As<RepeatOp>(this).body_ptr().get());
+      break;
+    case OpKind::kDoWhile:
+      id.AddLoop(As<DoWhileOp>(this).max_iterations(),
+                 As<DoWhileOp>(this).body_ptr().get());
+      id.AddClosure();
+      break;
     case OpKind::kFlatMap:
     case OpKind::kBroadcastMap:
-    case OpKind::kGlobalReduce:
-      return true;
-    case OpKind::kJoin: {
-      const auto& j = static_cast<const JoinOp&>(op);
-      return j.left_key().expr == nullptr || j.right_key().expr == nullptr;
-    }
-    case OpKind::kThetaJoin:
-      return static_cast<const ThetaJoinOp&>(op).condition().pair_expr ==
-             nullptr;
-    case OpKind::kSort:
-    case OpKind::kTopK:
-    case OpKind::kReduceByKey:
-    case OpKind::kGroupByKey:
-      return true;  // key/reduce/group closures
+      id.AddClosure();
+      break;
     default:
-      return false;
+      break;
   }
+  return id;
+}
+
+std::string PhysicalOperator::FingerprintToken() const {
+  return Describe(OpIdentity::Form::kToken).str();
+}
+
+std::string PhysicalOperator::Detail() const {
+  return Describe(OpIdentity::Form::kDetail).str();
+}
+
+bool PhysicalOperator::opaque() const {
+  return Describe(OpIdentity::Form::kDetail).opaque();
 }
 
 const char* OpKindToString(OpKind kind) {

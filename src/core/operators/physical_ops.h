@@ -72,6 +72,19 @@ class PhysicalOperator : public Operator {
   std::string kind_name() const override { return OpKindToString(kind()); }
 
   virtual OpKind kind() const = 0;
+
+  /// Kind and payload (OpIdentity), without the algorithm variant that
+  /// kind_name() names: the enumerator flips it after fingerprints are
+  /// taken, and it leaves the output bag unchanged.
+  std::string FingerprintToken() const final;
+  /// EXPLAIN rendering of the payload, e.g. `filter=age>30`,
+  /// `key=$0 aggs=[first($0), sum($1)]`; "" when nothing is declarative.
+  std::string Detail() const;
+  /// True when a closure with no declared form decides part of the output.
+  bool opaque() const;
+
+ private:
+  OpIdentity Describe(OpIdentity::Form form) const;
 };
 
 /// In-memory dataset source.
@@ -80,7 +93,6 @@ class CollectionSourceOp : public PhysicalOperator {
   explicit CollectionSourceOp(Dataset data) : data_(std::move(data)) {}
   OpKind kind() const override { return OpKind::kCollectionSource; }
   int arity() const override { return 0; }
-  std::string FingerprintToken() const override;
   const Dataset& data() const { return data_; }
   Dataset* mutable_data() { return &data_; }
 
@@ -95,9 +107,6 @@ class StageInputOp : public PhysicalOperator {
   explicit StageInputOp(int slot) : slot_(slot) {}
   OpKind kind() const override { return OpKind::kStageInput; }
   int arity() const override { return 0; }
-  std::string FingerprintToken() const override {
-    return kind_name() + "|slot=" + std::to_string(slot_);
-  }
   int slot() const { return slot_; }
 
  private:
@@ -123,7 +132,6 @@ class MapOp : public PhysicalOperator {
   explicit MapOp(MapUdf udf) : udf_(std::move(udf)) {}
   OpKind kind() const override { return OpKind::kMap; }
   int arity() const override { return 1; }
-  std::string FingerprintToken() const override;
   const MapUdf& udf() const { return udf_; }
 
  private:
@@ -146,7 +154,6 @@ class FilterOp : public PhysicalOperator {
   explicit FilterOp(PredicateUdf udf) : udf_(std::move(udf)) {}
   OpKind kind() const override { return OpKind::kFilter; }
   int arity() const override { return 1; }
-  std::string FingerprintToken() const override;
   const PredicateUdf& udf() const { return udf_; }
   /// Used by the filter-reordering rewrite, which swaps payloads in place.
   void set_udf(PredicateUdf udf) { udf_ = std::move(udf); }
@@ -162,11 +169,6 @@ class ProjectOp : public PhysicalOperator {
   explicit ProjectOp(std::vector<int> columns) : columns_(std::move(columns)) {}
   OpKind kind() const override { return OpKind::kProject; }
   int arity() const override { return 1; }
-  std::string FingerprintToken() const override {
-    std::string t = kind_name() + "|cols=";
-    for (int c : columns_) t += std::to_string(c) + ",";
-    return t;
-  }
   const std::vector<int>& columns() const { return columns_; }
 
  private:
@@ -198,10 +200,6 @@ class SampleOp : public PhysicalOperator {
       : fraction_(fraction), seed_(seed) {}
   OpKind kind() const override { return OpKind::kSample; }
   int arity() const override { return 1; }
-  std::string FingerprintToken() const override {
-    return kind_name() + "|frac=" + std::to_string(fraction_) +
-           "|seed=" + std::to_string(seed_);
-  }
   double fraction() const { return fraction_; }
   uint64_t seed() const { return seed_; }
 
@@ -301,7 +299,6 @@ class JoinOp : public PhysicalOperator {
     return algorithm_ == JoinAlgorithm::kHash ? "HashJoin" : "SortMergeJoin";
   }
   int arity() const override { return 2; }
-  std::string FingerprintToken() const override;
   const KeyUdf& left_key() const { return left_key_; }
   const KeyUdf& right_key() const { return right_key_; }
   JoinAlgorithm algorithm() const { return algorithm_; }
@@ -319,7 +316,6 @@ class ThetaJoinOp : public PhysicalOperator {
   explicit ThetaJoinOp(ThetaUdf condition) : condition_(std::move(condition)) {}
   OpKind kind() const override { return OpKind::kThetaJoin; }
   int arity() const override { return 2; }
-  std::string FingerprintToken() const override;
   const ThetaUdf& condition() const { return condition_; }
 
  private:
@@ -374,10 +370,6 @@ class TopKOp : public PhysicalOperator {
       : key_(std::move(key)), k_(k), ascending_(ascending) {}
   OpKind kind() const override { return OpKind::kTopK; }
   int arity() const override { return 1; }
-  std::string FingerprintToken() const override {
-    return kind_name() + "|k=" + std::to_string(k_) +
-           (ascending_ ? "|asc" : "|desc");
-  }
   const KeyUdf& key() const { return key_; }
   int64_t k() const { return k_; }
   bool ascending() const { return ascending_; }
@@ -399,7 +391,6 @@ class RepeatOp : public PhysicalOperator {
       : num_iterations_(num_iterations), body_(std::move(body)) {}
   OpKind kind() const override { return OpKind::kRepeat; }
   int arity() const override { return 2; }
-  std::string FingerprintToken() const override;
   int num_iterations() const { return num_iterations_; }
   const Plan& body() const { return *body_; }
   std::shared_ptr<Plan> body_ptr() const { return body_; }
@@ -419,7 +410,6 @@ class DoWhileOp : public PhysicalOperator {
         body_(std::move(body)) {}
   OpKind kind() const override { return OpKind::kDoWhile; }
   int arity() const override { return 2; }
-  std::string FingerprintToken() const override;
   const LoopConditionUdf& condition() const { return condition_; }
   int max_iterations() const { return max_iterations_; }
   const Plan& body() const { return *body_; }
@@ -437,16 +427,6 @@ class CollectOp : public PhysicalOperator {
   OpKind kind() const override { return OpKind::kCollect; }
   int arity() const override { return 1; }
 };
-
-/// Pretty-printed declarative payload of `op` for EXPLAIN output and trace
-/// spans — e.g. `filter=age>30 AND dept=="eng"`, `map=[$0, $1+1]`,
-/// `join=($1, $0)`, `theta=$3>$8` — or "" when the operator carries no
-/// expression.
-std::string DeclarativeDetail(const PhysicalOperator& op);
-
-/// True when `op` carries a UDF closure the optimizer cannot introspect
-/// (i.e. a udf/key slot with no declarative expression attached).
-bool HasOpaqueUdf(const PhysicalOperator& op);
 
 }  // namespace rheem
 

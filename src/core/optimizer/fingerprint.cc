@@ -1,7 +1,6 @@
 #include "core/optimizer/fingerprint.h"
 
-#include <map>
-
+#include "core/optimizer/enumerator.h"
 #include "data/record.h"
 
 namespace rheem {
@@ -45,6 +44,35 @@ Result<uint64_t> PlanFingerprint::Compute(const Plan& plan) {
   }
   h = Mix(h, position.at(plan.sink()->id()));
   return h;
+}
+
+Result<std::map<int, uint64_t>> PlanFingerprint::SubPlans(
+    const Plan& plan, const PlatformAssignment* assignment) {
+  RHEEM_ASSIGN_OR_RETURN(std::vector<Operator*> order,
+                         plan.TopologicalOrder());
+  std::map<int, uint64_t> fps;
+  for (const Operator* op : order) {
+    uint64_t h = Mix(kSeed, op->FingerprintToken());
+    h = Mix(h, op->name());
+    if (assignment != nullptr) {
+      auto it = assignment->by_op.find(op->id());
+      if (it != assignment->by_op.end() && it->second != nullptr) {
+        h = Mix(h, it->second->name());
+      }
+      h = Mix(h, op->kind_name());
+    }
+    h = Mix(h, static_cast<uint64_t>(op->inputs().size()));
+    for (const Operator* in : op->inputs()) {
+      auto it = fps.find(in->id());
+      if (it == fps.end()) {
+        return Status::Internal("input op #" + std::to_string(in->id()) +
+                                " missing from topological prefix");
+      }
+      h = Mix(h, it->second);
+    }
+    fps[op->id()] = h;
+  }
+  return fps;
 }
 
 uint64_t PlanFingerprint::OfDataset(const Dataset& data) {

@@ -242,10 +242,10 @@ std::string ExecutionPlan::Explain(const EstimateMap& estimates) const {
       // Declarative operators print their predicate/projection; operators
       // whose behavior hides in a closure are marked [udf].
       if (auto* phys = dynamic_cast<const PhysicalOperator*>(op)) {
-        const std::string detail = DeclarativeDetail(*phys);
+        const std::string detail = phys->Detail();
         if (!detail.empty()) {
           out += "  [" + detail + "]";
-        } else if (HasOpaqueUdf(*phys)) {
+        } else if (phys->opaque()) {
           out += "  [udf]";
         }
       }

@@ -8,7 +8,6 @@
 
 #include "common/csv.h"
 #include "common/metrics.h"
-#include "core/optimizer/fingerprint.h"
 
 namespace rheem {
 namespace {
@@ -284,29 +283,6 @@ Status StatisticsCatalog::SaveToFile(const std::string& path) const {
 Status StatisticsCatalog::LoadFromFile(const std::string& path) {
   RHEEM_ASSIGN_OR_RETURN(std::string framed, ReadFileToString(path));
   return DecodeFrom(framed);
-}
-
-Result<std::map<int, uint64_t>> ComputeCardinalityFingerprints(
-    const Plan& plan) {
-  RHEEM_ASSIGN_OR_RETURN(std::vector<Operator*> order,
-                         plan.TopologicalOrder());
-  std::map<int, uint64_t> fps;
-  for (Operator* op : order) {
-    uint64_t h = PlanFingerprint::kSeed;
-    h = PlanFingerprint::Mix(h, op->FingerprintToken());
-    h = PlanFingerprint::Mix(h, op->name());
-    h = PlanFingerprint::Mix(h, static_cast<uint64_t>(op->inputs().size()));
-    for (const Operator* in : op->inputs()) {
-      auto it = fps.find(in->id());
-      if (it == fps.end()) {
-        return Status::Internal("input op #" + std::to_string(in->id()) +
-                                " missing from topological prefix");
-      }
-      h = PlanFingerprint::Mix(h, it->second);
-    }
-    fps[op->id()] = h;
-  }
-  return fps;
 }
 
 }  // namespace rheem

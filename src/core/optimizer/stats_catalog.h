@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "core/optimizer/cardinality.h"
-#include "core/plan/plan.h"
 
 namespace rheem {
 
@@ -26,7 +25,7 @@ namespace rheem {
 /// selectivity guesses (RHEEMix-style learning under sustained traffic).
 ///
 /// Cardinalities are keyed by *platform-free* sub-plan fingerprints
-/// (ComputeCardinalityFingerprints): how many records a sub-plan yields does
+/// (PlanFingerprint::SubPlans without an assignment): how many records a sub-plan yields does
 /// not depend on which platform ran it, so an observation made on one
 /// platform assignment transfers to every enumeration alternative.
 ///
@@ -101,14 +100,6 @@ class StatisticsCatalog {
   std::map<std::pair<std::string, std::string>, CostStats> costs_;
   int64_t version_ = 0;
 };
-
-/// Computes, for every operator of `plan`, the *platform-free* fingerprint
-/// of the sub-plan producing its output: a fold over FingerprintToken, name,
-/// input arity and input fingerprints — deliberately excluding the platform
-/// assignment (unlike ComputeSubPlanFingerprints), because cardinality is a
-/// property of the dataflow, not of where it ran.
-Result<std::map<int, uint64_t>> ComputeCardinalityFingerprints(
-    const Plan& plan);
 
 }  // namespace rheem
 

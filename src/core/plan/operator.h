@@ -45,12 +45,15 @@ class Operator {
   /// Short kind label, e.g. "Map", "HashGroupBy" (for printing/mappings).
   virtual std::string kind_name() const = 0;
 
-  /// Token folded into plan fingerprints (core/optimizer/fingerprint.h).
-  /// Two operators with equal tokens, names and wiring are treated as
-  /// semantically interchangeable by the plan cache, so subclasses carrying
-  /// payload beyond their kind (parameters, UDF metadata) must encode it
-  /// here. UDF closures themselves cannot be hashed; the contract is that
-  /// equal tokens imply equal behaviour.
+  /// The operator's identity, folded into plan and sub-plan fingerprints
+  /// (core/optimizer/fingerprint.h) that the plan cache, the result cache
+  /// and the statistics catalog key on: equal tokens, names and wiring mean
+  /// the same output bag. Every payload that decides the output belongs in
+  /// it, encoded once per payload type by OpIdentity (descriptors.h).
+  /// Planning inputs — hints, platform pins, the join or group-by
+  /// algorithm — go only into a logical operator's token, the plan-cache
+  /// key. UDF closures cannot be hashed and are still assumed equal by
+  /// shape.
   virtual std::string FingerprintToken() const { return kind_name(); }
 
   /// Number of dataflow inputs this operator requires.

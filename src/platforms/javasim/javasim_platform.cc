@@ -19,10 +19,8 @@ BasicCostModel::Params JavaParams(const Config& config) {
   p.parallelism =
       parallel ? config.GetDouble("kernels.cost_parallelism", 3.0).ValueOr(3.0)
                : 1.0;
-  const bool fuse = config.GetBool("kernels.fuse", true).ValueOr(true);
   p.fusion_discount =
-      fuse ? config.GetDouble("kernels.fusion_discount", 0.75).ValueOr(0.75)
-           : 1.0;
+      config.GetDouble("kernels.fusion_discount", 0.75).ValueOr(0.75);
   p.stage_overhead_micros = 0.0;
   p.job_overhead_micros = 0.0;
   p.boundary_micros_per_byte = 0.0004;
@@ -76,7 +74,6 @@ MappingTable JavaMappings() {
 JavaSimPlatform::JavaSimPlatform(const Config& config)
     : Platform(kName),
       kernel_opts_(kernels::KernelOptions::FromConfig(config)),
-      fuse_(config.GetBool("kernels.fuse", true).ValueOr(true)),
       cost_model_(JavaParams(config)) {
   mappings_ = JavaMappings();
 }
@@ -84,7 +81,7 @@ JavaSimPlatform::JavaSimPlatform(const Config& config)
 Result<std::vector<Dataset>> JavaSimPlatform::ExecuteStage(
     const Stage& stage, const BoundaryMap& boundary_inputs,
     ExecutionMetrics* metrics) {
-  javasim::DatasetWalker walker(metrics, kernel_opts_, fuse_);
+  javasim::DatasetWalker walker(metrics, kernel_opts_, /*fuse=*/true);
   // Stage outputs are read back by the executor: never fuse them away.
   std::unordered_set<int> preserve;
   for (const Operator* out : stage.outputs()) preserve.insert(out->id());

@@ -20,11 +20,10 @@ namespace rheem {
 ///   javasim.per_quantum_us    (double, default 0.03) estimated cost/quantum
 ///   kernels.parallel          (bool,   default true) morsel parallelism
 ///   kernels.morsel_size       (int,    default 16384) records per morsel
-///   kernels.fuse              (bool,   default true) pipeline fusion
 ///   kernels.cost_parallelism  (double, default 3.0) modeled speedup from
 ///                             morsel parallelism when kernels.parallel is on
 ///   kernels.fusion_discount   (double, default 0.75) modeled per-tuple
-///                             discount for fusable ops when kernels.fuse is on
+///                             discount for the ops it fuses
 class JavaSimPlatform : public Platform {
  public:
   static constexpr const char* kName = "javasim";
@@ -39,7 +38,6 @@ class JavaSimPlatform : public Platform {
 
  private:
   kernels::KernelOptions kernel_opts_;
-  bool fuse_ = true;
   BasicCostModel cost_model_;
 };
 

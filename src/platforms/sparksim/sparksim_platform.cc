@@ -25,10 +25,8 @@ BasicCostModel::Params SparkParams(const Config& config,
   // Estimated per-quantum shuffle toll (ser+deser+hash).
   p.shuffle_micros_per_quantum = 0.05;
   // Narrow record-at-a-time chains fuse into one pass per partition.
-  const bool fuse = config.GetBool("kernels.fuse", true).ValueOr(true);
   p.fusion_discount =
-      fuse ? config.GetDouble("kernels.fusion_discount", 0.75).ValueOr(0.75)
-           : 1.0;
+      config.GetDouble("kernels.fusion_discount", 0.75).ValueOr(0.75);
   return p;
 }
 
@@ -88,8 +86,6 @@ SparkSimPlatform::SparkSimPlatform(const Config& config)
               .ValueOr(8))),
       task_retries_(static_cast<int>(
           config.GetInt("sparksim.task_retries", 3).ValueOr(3))),
-      fuse_(config.GetBool("kernels.fuse", true).ValueOr(true)),
-      columnar_(config.GetBool("kernels.columnar", true).ValueOr(true)),
       cost_model_(SparkParams(config, overhead_, pool_->num_threads())) {
   mappings_ = SparkMappings();
 }
@@ -103,10 +99,8 @@ Result<std::vector<Dataset>> SparkSimPlatform::ExecuteStage(
       static_cast<int64_t>(overhead_.job_submit_us + overhead_.stage_us);
 
   sparksim::TaskScheduler scheduler(pool_.get(), overhead_, task_retries_);
-  kernels::KernelOptions task_opts = kernels::KernelOptions::Serial();
-  task_opts.columnar = columnar_;
-  sparksim::RddWalker walker(num_partitions_, &scheduler, metrics, fuse_,
-                             task_opts);
+  sparksim::RddWalker walker(num_partitions_, &scheduler, metrics,
+                             /*fuse=*/true, kernels::KernelOptions::Serial());
 
   // Parallelize incoming boundary datasets.
   std::vector<std::unique_ptr<sparksim::Rdd>> bound;

@@ -27,10 +27,9 @@ namespace rheem {
 ///   sparksim.task_retries    (int, default 3) per-task retry budget
 ///   sparksim.job_submit_us / stage_us / task_us / shuffle_fixed_us /
 ///   collect_fixed_us         (see SparkOverheadModel)
-///   kernels.fuse             (bool, default true) fuse narrow chains into
-///                            one pass per partition
 ///   kernels.fusion_discount  (double, default 0.75) modeled per-tuple
-///                            discount for fusable ops when kernels.fuse is on
+///                            discount for the narrow chains it fuses into
+///                            one pass per partition
 class SparkSimPlatform : public Platform {
  public:
   static constexpr const char* kName = "sparksim";
@@ -50,8 +49,6 @@ class SparkSimPlatform : public Platform {
   std::unique_ptr<ThreadPool> pool_;
   std::size_t num_partitions_;
   int task_retries_;
-  bool fuse_ = true;
-  bool columnar_ = true;
   BasicCostModel cost_model_;
 };
 

@@ -65,18 +65,6 @@ TEST_F(ExecutorTest, RunsTwoStagePlanAndMovesData) {
   EXPECT_GT(result->metrics.moved_bytes, 0);
 }
 
-TEST_F(ExecutorTest, BoundarySerializationCanBeDisabled) {
-  Plan plan;
-  ExecutionPlan eplan = MakeCrossPlatformPlan(&plan);
-  Config config;
-  config.SetBool("executor.serialize_boundaries", false);
-  CrossPlatformExecutor executor(config);
-  auto result = executor.Execute(eplan);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->output.size(), 10u);
-  EXPECT_GT(result->metrics.moved_bytes, 0);  // still accounted
-}
-
 TEST_F(ExecutorTest, RetriesTransientFailures) {
   Plan plan;
   ExecutionPlan eplan = MakeCrossPlatformPlan(&plan);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "data/batch.h"
+#include "data/dataset.h"
 #include "data/record.h"
 
 namespace rheem {
@@ -97,6 +100,47 @@ TEST(ExprEval, DivisionByZeroIsNull) {
   EXPECT_TRUE(Eval(*Mod(IntField(0), Lit(0)), r).is_null());
   EXPECT_TRUE(Eval(*Div(Lit(1.0), DblField(1)), r).is_null());
   EXPECT_FALSE(EvalPredicate(*Gt(Div(IntField(0), Lit(0)), Lit(0)), r));
+}
+
+TEST(ExprEval, Int64MinOverMinusOneIsNullOnRowAndColumnarPaths) {
+  // INT64_MIN / -1 does not fit in int64 and is NULL, like a zero divisor;
+  // x % -1 is 0. Raw int64 division traps on both.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const Record none = Row({});
+  EXPECT_TRUE(Eval(*Div(Lit(kMin), Lit(-1)), none).is_null());
+  EXPECT_EQ(Eval(*Mod(Lit(kMin), Lit(-1)), none), Value(int64_t{0}));
+  EXPECT_EQ(Eval(*Div(Lit(7), Lit(-1)), none), Value(int64_t{-7}));
+  EXPECT_EQ(Eval(*Mod(Lit(-7), Lit(-1)), none), Value(int64_t{0}));
+
+  const Dataset data({Row({Value(kMin), Value(int64_t{-1})}),
+                      Row({Value(int64_t{7}), Value(int64_t{-1})}),
+                      Row({Value(kMin), Value(int64_t{2})}),
+                      Row({Value(int64_t{7}), Value(int64_t{0})})});
+  auto batch = Batch::FromDataset(data);
+  ASSERT_TRUE(batch.ok());
+  std::vector<const ColumnData*> ptrs;
+  const BatchView view = batch->View(&ptrs);
+  const std::vector<std::pair<ExprPtr, std::vector<Value>>> cases = {
+      {Div(IntField(0), IntField(1)),
+       {Value::Null(), Value(int64_t{-7}), Value(kMin / 2), Value::Null()}},
+      {Mod(IntField(0), IntField(1)),
+       {Value(int64_t{0}), Value(int64_t{0}), Value(int64_t{0}),
+        Value::Null()}},
+      {Div(IntField(0), Lit(-1)),
+       {Value::Null(), Value(int64_t{-7}), Value::Null(), Value(int64_t{-7})}},
+  };
+  for (const auto& [e, expected] : cases) {
+    ColumnData col;
+    EvalExprView(*e, view, &col);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      SCOPED_TRACE(Pretty(*e) + " row " + std::to_string(i));
+      EXPECT_EQ(Eval(*e, data.at(i)), expected[i]);
+      EXPECT_EQ(col.IsNull(i), expected[i].is_null());
+      if (!expected[i].is_null()) {
+        EXPECT_EQ(col.i64[i], expected[i].int64_unchecked());
+      }
+    }
+  }
 }
 
 TEST(ExprEval, KleeneLogic) {

@@ -211,8 +211,8 @@ TEST_P(FuzzPlansTest, DeclarativeClosureDifferentialAgree) {
 
 // Batch-vs-row differential mode: the same declarative plan is executed with
 // the columnar batch kernels enabled and with the process-wide columnar
-// switch forced off (every kernel takes its row-at-a-time path, exactly what
-// RHEEM_FORCE_ROW=1 does at startup). The row build on javasim is the
+// switch forced off (every kernel takes its row-at-a-time path). The row
+// build on javasim is the
 // reference; the columnar build must be bag-equal on javasim, the free
 // optimizer, and sparksim. Declarative pipelines are used because they are
 // the ones the vectorized evaluator and columnar aggregates actually
@@ -318,6 +318,47 @@ TEST_P(FuzzPlansTest, SqlPlanDifferentialAgree) {
           << "relsim failed (not a mere expressibility skip); replay with "
           << "RHEEM_FUZZ_SEED=" << seed << ": " << rel.status().ToString()
           << "\nSQL: " << twin.sql;
+    }
+  }
+}
+
+// Warm-cache twin differential: each round submits two SQL texts that differ
+// in exactly one payload (aggregate kind, GROUP BY key, ORDER BY key or
+// direction, projection, filter constant) back to back through the shard's
+// JobServer, with the plan cache and the result cache both on. Each answer
+// must bag-equal the same text's cold run: an operator identity that omits
+// the varied payload would serve the first text's rows for the second.
+// 16 shards x 16 rounds = 256 pairs.
+TEST_P(FuzzPlansTest, WarmCacheTwinDifferentialAgree) {
+  uint64_t replay = 0;
+  const bool has_replay = EnvReplaySeed(&replay);
+  Rng rng(static_cast<uint64_t>(GetParam()) * 67867967 + 19 + EnvSeedOffset());
+  const int rounds = has_replay ? 1 : 16;
+  for (int round = 0; round < rounds; ++round) {
+    const uint64_t seed = has_replay ? replay : rng.NextU64();
+    Rng tape(seed);
+    const testutil::SqlTwinPair twins = testutil::RandomSqlTwinPair(&tape);
+    sql::InMemoryCatalog catalog;
+    ASSERT_TRUE(catalog.Register("t", twins.table).ok());
+    for (const std::string& text : {twins.first, twins.second}) {
+      auto stmt = ctx_.Sql(text, catalog);
+      ASSERT_TRUE(stmt.ok()) << "SQL failed to compile; replay with "
+                             << "RHEEM_FUZZ_SEED=" << seed << ": "
+                             << stmt.status().ToString() << "\nSQL: " << text;
+      auto cold = stmt->Collect();
+      ASSERT_TRUE(cold.ok()) << "cold run failed; replay with RHEEM_FUZZ_SEED="
+                             << seed << ": " << cold.status().ToString()
+                             << "\nSQL: " << text;
+      auto handle = ctx_.job_server().SubmitSql(text, catalog);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      auto warm = handle->Wait();
+      ASSERT_TRUE(warm.ok()) << "served run failed; replay with "
+                             << "RHEEM_FUZZ_SEED=" << seed << ": "
+                             << warm.status().ToString() << "\nSQL: " << text;
+      EXPECT_EQ(AsMultiset(warm->output), AsMultiset(*cold))
+          << "warm caches changed the answer; replay with RHEEM_FUZZ_SEED="
+          << seed << "\nfirst:  " << twins.first
+          << "\nsecond: " << twins.second << "\nfailing: " << text;
     }
   }
 }

@@ -377,6 +377,35 @@ TEST_F(NetServiceTest, BadSqlFailsButConnectionSurvives) {
   EXPECT_TRUE(client.Bye().ok());
 }
 
+TEST_F(NetServiceTest, Int64MinOverMinusOneAnswersAndServerSurvives) {
+  // Raw int64 division traps on INT64_MIN / -1 and INT64_MIN % -1 (SIGFPE),
+  // which would take down every session with the process.
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+  for (const char* op : {"/", "%"}) {
+    const std::string query =
+        std::string("SELECT (0 - 9223372036854775807 - 1) ") + op +
+        " -1 AS q FROM emp WHERE id < 2";
+    auto job = client.SubmitSql(query);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    auto rows = client.FetchAll(*job);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), 2u);
+    for (const Record& r : rows->records()) {
+      EXPECT_EQ(r[0], std::string(op) == "/" ? Value::Null()
+                                             : Value(int64_t{0}))
+          << query;
+    }
+  }
+  auto next = client.SubmitSql("SELECT id FROM emp WHERE id < 3");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  auto rows = client.FetchAll(*next);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 3u);
+  EXPECT_TRUE(client.Bye().ok());
+}
+
 TEST_F(NetServiceTest, ExpiredDeadlineResolvesDeadlineExceededOverTheWire) {
   StartServer();
   Client client;

@@ -747,15 +747,12 @@ TEST_F(ObservabilityTest, ChromeTraceIsValidJsonWithJobStageKernelNesting) {
 
 // Regression for the multi-consumer movement accounting bug: a producer
 // whose output crosses to two consumer stages on the same target platform is
-// one data movement, not two. The approximated (non-serialized) path must
-// report the same moved totals as the serialized path, whose conversion
-// cache provably encodes the shared edge once, and both must reconcile with
-// the global registry counters.
+// one data movement, not two. The conversion cache encodes the shared edge
+// once, and the per-job totals must reconcile with the global registry
+// counters.
 TEST_F(ObservabilityTest, MovedBytesCountOncePerMultiConsumerEdge) {
-  auto run = [&](bool serialize) -> ExecutionResult {
-    Config config = ObservableConfig();
-    config.SetBool("executor.serialize_boundaries", serialize);
-    RheemContext ctx(config);
+  auto run = [&]() -> ExecutionResult {
+    RheemContext ctx(ObservableConfig());
     EXPECT_TRUE(ctx.RegisterDefaultPlatforms().ok());
     RheemJob job(&ctx);
     DataQuanta src = job.LoadCollection(Rows(200)).OnPlatform("javasim");
@@ -784,38 +781,26 @@ TEST_F(ObservabilityTest, MovedBytesCountOncePerMultiConsumerEdge) {
   };
 
   const MetricsSnapshot s0 = MetricsRegistry::Global().Snapshot();
-  const ExecutionResult serialized = run(/*serialize=*/true);
+  const ExecutionResult serialized = run();
   const MetricsSnapshot s1 = MetricsRegistry::Global().Snapshot();
-  const ExecutionResult approximated = run(/*serialize=*/false);
-  const MetricsSnapshot s2 = MetricsRegistry::Global().Snapshot();
 
-  // Serialized path: the src -> sparksim edge is encoded once and the second
-  // consumer stage reuses the conversion.
+  // The src -> sparksim edge is encoded once and the second consumer stage
+  // reuses the conversion.
   EXPECT_EQ(serialized.metrics.boundary_conversions_reused, 1);
   EXPECT_EQ(delta(s0, s1, "executor.boundary_cache_hits"), 1);
+  // The shared edge counts once: src -> sparksim (200) + each map's output
+  // -> javasim (200 + 200).
+  EXPECT_EQ(serialized.metrics.moved_records, 600);
 
-  // Approximated path never converts, and must count the shared edge once:
-  // src -> sparksim (200) + each map's output -> javasim (200 + 200).
-  EXPECT_EQ(approximated.metrics.boundary_conversions_reused, 0);
-  EXPECT_EQ(approximated.metrics.moved_records, 600);
-  EXPECT_EQ(approximated.metrics.moved_records, serialized.metrics.moved_records);
-  EXPECT_EQ(approximated.metrics.moved_bytes, serialized.metrics.moved_bytes);
-
-  // Per-job metrics reconcile with the global registry in both modes.
+  // Per-job metrics reconcile with the global registry.
   EXPECT_EQ(delta(s0, s1, "executor.moved_records_total"),
             serialized.metrics.moved_records);
   EXPECT_EQ(delta(s0, s1, "executor.moved_bytes_total"),
             serialized.metrics.moved_bytes);
-  EXPECT_EQ(delta(s1, s2, "executor.moved_records_total"),
-            approximated.metrics.moved_records);
-  EXPECT_EQ(delta(s1, s2, "executor.moved_bytes_total"),
-            approximated.metrics.moved_bytes);
   // Every consumer that shares a conversion is a cache hit, including one
   // that lost the race to insert it.
   EXPECT_EQ(delta(s0, s1, "executor.boundary_cache_hits"),
             serialized.metrics.boundary_conversions_reused);
-  EXPECT_EQ(delta(s1, s2, "executor.boundary_cache_hits"),
-            approximated.metrics.boundary_conversions_reused);
 }
 
 // Satellite 4 regression: hammer Snapshot()/ExportChromeTrace()/ReportText()

@@ -551,6 +551,114 @@ inline SqlTwinCase RandomSqlTwin(Rng* rng) {
   return out;
 }
 
+// --- warm-cache SQL twins ----------------------------------------------------
+//
+// RandomSqlTwinPair returns two SQL texts over one table that differ in
+// exactly one payload: the aggregate kind, the GROUP BY key, the ORDER BY key
+// or direction, the projection, or the filter constant. Submitted back to
+// back through one JobServer, each must still bag-equal its own cold run; a
+// cache key that leaves the varied payload out serves the first text's rows
+// for the second. v and w are distinct per row, so which rows survive an
+// `ORDER BY v|w ... LIMIT n` is the same on every platform.
+
+struct SqlTwinPair {
+  Dataset table;  // register as "t": k, g (small keys), v, w (distinct)
+  std::string first;
+  std::string second;
+};
+
+inline SqlTwinPair RandomSqlTwinPair(Rng* rng) {
+  constexpr int kRows = 24;
+  std::vector<int64_t> v(kRows), w(kRows);
+  for (int i = 0; i < kRows; ++i) v[i] = w[i] = 3 * i;
+  for (int i = kRows - 1; i > 0; --i) {  // independent shuffles of v and w
+    std::swap(v[i], v[rng->NextBounded(static_cast<uint64_t>(i) + 1)]);
+    std::swap(w[i], w[rng->NextBounded(static_cast<uint64_t>(i) + 1)]);
+  }
+  std::vector<Record> rows;
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back(Record({Value(rng->NextInt(0, 3)), Value(rng->NextInt(0, 2)),
+                           Value(v[i]), Value(w[i])}));
+  }
+  SqlTwinPair out;
+  out.table = Dataset(std::move(rows),
+                      Schema::Of({{"k", ValueType::kInt64},
+                                  {"g", ValueType::kInt64},
+                                  {"v", ValueType::kInt64},
+                                  {"w", ValueType::kInt64}}));
+
+  // One query spec; the twin copies it and changes one field.
+  struct Spec {
+    bool grouped;
+    int64_t threshold;     // WHERE v > threshold
+    std::string agg;       // grouped: SUM | MIN | MAX
+    std::string key;       // grouped: GROUP BY k | g
+    std::string measure;   // grouped: aggregated column, v | w
+    std::string leading;   // ordered: first output column, k | g | k + g
+    std::string order;     // ordered: ORDER BY v | w
+    bool ascending;
+    int64_t limit;
+  };
+  // A random option other than `not_this`.
+  auto pick = [rng](std::vector<std::string> options,
+                    const std::string& not_this) {
+    options.erase(std::remove(options.begin(), options.end(), not_this),
+                  options.end());
+    return options[rng->NextBounded(options.size())];
+  };
+  auto render = [](const Spec& s) {
+    const std::string where =
+        " FROM t WHERE v > " + std::to_string(s.threshold);
+    if (s.grouped) {
+      return "SELECT " + s.key + ", " + s.agg + "(" + s.measure + ") AS a" +
+             where + " GROUP BY " + s.key;
+    }
+    return "SELECT " + s.leading + " AS c, v, w" + where + " ORDER BY " +
+           s.order + (s.ascending ? " ASC" : " DESC") + " LIMIT " +
+           std::to_string(s.limit);
+  };
+  Spec a;
+  a.grouped = rng->NextBool();
+  a.threshold = rng->NextInt(0, 30);
+  a.agg = pick({"SUM", "MIN", "MAX"}, "");
+  a.key = pick({"k", "g"}, "");
+  a.measure = pick({"v", "w"}, "");
+  a.leading = pick({"k", "g", "k + g"}, "");
+  a.order = pick({"v", "w"}, "");
+  a.ascending = rng->NextBool();
+  a.limit = rng->NextInt(1, 8);
+  Spec b = a;
+  switch (rng->NextBounded(4)) {
+    case 0:
+      b.threshold = a.threshold + rng->NextInt(1, 20);
+      break;
+    case 1:
+      if (a.grouped) {
+        b.measure = pick({"v", "w"}, a.measure);
+      } else {
+        b.leading = pick({"k", "g", "k + g"}, a.leading);
+      }
+      break;
+    case 2:
+      if (a.grouped) {
+        b.agg = pick({"SUM", "MIN", "MAX"}, a.agg);
+      } else {
+        b.order = pick({"v", "w"}, a.order);
+      }
+      break;
+    default:
+      if (a.grouped) {
+        b.key = pick({"k", "g"}, a.key);
+      } else {
+        b.ascending = !a.ascending;
+      }
+      break;
+  }
+  out.first = render(a);
+  out.second = render(b);
+  return out;
+}
+
 }  // namespace testutil
 }  // namespace rheem
 

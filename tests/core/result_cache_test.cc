@@ -9,6 +9,7 @@
 #include "core/executor/executor.h"
 #include "core/operators/physical_ops.h"
 #include "core/optimizer/enumerator.h"
+#include "core/optimizer/fingerprint.h"
 #include "platforms/javasim/javasim_platform.h"
 #include "platforms/sparksim/sparksim_platform.h"
 
@@ -141,8 +142,8 @@ TEST_F(SubPlanFingerprintTest, EqualSubPlansShareFingerprints) {
   Plan p1, p2;
   ExecutionPlan e1 = Build(&p1, &java_, 10);
   ExecutionPlan e2 = Build(&p2, &java_, 10);
-  auto f1 = ComputeSubPlanFingerprints(e1).ValueOrDie();
-  auto f2 = ComputeSubPlanFingerprints(e2).ValueOrDie();
+  auto f1 = PlanFingerprint::SubPlans(*e1.plan, &e1.assignment).ValueOrDie();
+  auto f2 = PlanFingerprint::SubPlans(*e2.plan, &e2.assignment).ValueOrDie();
   ASSERT_EQ(f1.size(), 4u);
   // Same structure, content and platform: every operator's sub-plan
   // fingerprint matches across the two independent plans.
@@ -153,8 +154,8 @@ TEST_F(SubPlanFingerprintTest, SourceContentChangesEveryDownstreamFingerprint) {
   Plan p1, p2;
   ExecutionPlan e1 = Build(&p1, &java_, 10);
   ExecutionPlan e2 = Build(&p2, &java_, 11);
-  auto f1 = ComputeSubPlanFingerprints(e1).ValueOrDie();
-  auto f2 = ComputeSubPlanFingerprints(e2).ValueOrDie();
+  auto f1 = PlanFingerprint::SubPlans(*e1.plan, &e1.assignment).ValueOrDie();
+  auto f2 = PlanFingerprint::SubPlans(*e2.plan, &e2.assignment).ValueOrDie();
   for (const auto& [op_id, fp] : f1) EXPECT_NE(fp, f2.at(op_id));
 }
 
@@ -162,11 +163,42 @@ TEST_F(SubPlanFingerprintTest, PlatformIsPartOfTheFingerprint) {
   Plan p1, p2;
   ExecutionPlan e1 = Build(&p1, &java_, 10);
   ExecutionPlan e2 = Build(&p2, &spark_, 10);
-  auto f1 = ComputeSubPlanFingerprints(e1).ValueOrDie();
-  auto f2 = ComputeSubPlanFingerprints(e2).ValueOrDie();
+  auto f1 = PlanFingerprint::SubPlans(*e1.plan, &e1.assignment).ValueOrDie();
+  auto f2 = PlanFingerprint::SubPlans(*e2.plan, &e2.assignment).ValueOrDie();
   // Platforms agree on bags, not on order; cached results must never leak
   // across platform assignments.
   for (const auto& [op_id, fp] : f1) EXPECT_NE(fp, f2.at(op_id));
+}
+
+TEST_F(SubPlanFingerprintTest, AlgorithmVariantKeysOnlyTheResultCache) {
+  // Hash and sort-merge joins agree on the bag but not on row order, which a
+  // downstream Sample observes: the result cache keeps them apart, while the
+  // statistics catalog's platform-free walk shares one cardinality.
+  auto fingerprints = [this](JoinAlgorithm algorithm, bool with_assignment) {
+    Plan plan;
+    auto* l = plan.Add<CollectionSourceOp>({}, Numbers(10));
+    auto* r = plan.Add<CollectionSourceOp>({}, Numbers(10));
+    KeyUdf key;
+    key.fn = [](const Record& rec) { return rec[0]; };
+    auto* join = plan.Add<JoinOp>({l, r}, key, key);
+    join->set_algorithm(algorithm);  // as the enumerator flips it
+    auto* sink = plan.Add<CollectOp>({join});
+    plan.SetSink(sink);
+    PlatformAssignment a;
+    for (const Operator* op : {static_cast<Operator*>(l),
+                               static_cast<Operator*>(r),
+                               static_cast<Operator*>(join),
+                               static_cast<Operator*>(sink)}) {
+      a.by_op[op->id()] = &java_;
+    }
+    auto fps = PlanFingerprint::SubPlans(plan, with_assignment ? &a : nullptr)
+                   .ValueOrDie();
+    return fps.at(sink->id());
+  };
+  EXPECT_NE(fingerprints(JoinAlgorithm::kHash, true),
+            fingerprints(JoinAlgorithm::kSortMerge, true));
+  EXPECT_EQ(fingerprints(JoinAlgorithm::kHash, false),
+            fingerprints(JoinAlgorithm::kSortMerge, false));
 }
 
 TEST_F(SubPlanFingerprintTest, SharedPrefixSharesFingerprints) {
@@ -193,8 +225,8 @@ TEST_F(SubPlanFingerprintTest, SharedPrefixSharesFingerprints) {
   for (int id : {sb->id(), mb1->id(), kb->id()}) ab.by_op[id] = &java_;
   ExecutionPlan eb = StageSplitter::Split(b, std::move(ab)).ValueOrDie();
 
-  auto fa = ComputeSubPlanFingerprints(ea).ValueOrDie();
-  auto fb = ComputeSubPlanFingerprints(eb).ValueOrDie();
+  auto fa = PlanFingerprint::SubPlans(*ea.plan, &ea.assignment).ValueOrDie();
+  auto fb = PlanFingerprint::SubPlans(*eb.plan, &eb.assignment).ValueOrDie();
   EXPECT_EQ(fa.at(sa->id()), fb.at(sb->id()));
   EXPECT_EQ(fa.at(ma1->id()), fb.at(mb1->id()));
   EXPECT_NE(fa.at(ka->id()), fb.at(kb->id()));  // different inputs

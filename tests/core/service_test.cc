@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "common/trace.h"
 #include "core/api/data_quanta.h"
 #include "core/service/plan_cache.h"
+#include "core/sql/sql.h"
 #include "storage/hot_buffer.h"
 #include "storage/mem_column_store.h"
 
@@ -351,6 +354,62 @@ TEST_F(ServiceTest, ResultCacheReusesStagesAcrossSubmissions) {
   ResultCache::Stats stats = ctx_.job_server().stats().result_cache;
   EXPECT_GT(stats.hits, 0);
   EXPECT_GT(stats.inserts, 0);
+}
+
+std::multiset<std::string> Rows(const std::vector<Record>& records) {
+  std::multiset<std::string> out;
+  for (const Record& r : records) out.insert(r.ToString());
+  return out;
+}
+
+/// Catalog with one table t(k, v, w) whose SUM and MAX per k differ and
+/// whose v and w orders differ.
+class ServiceSqlTwinTest : public ServiceTest {
+ protected:
+  void SetUp() override {
+    ServiceTest::SetUp();
+    Dataset t({Record({Value(0), Value(1), Value(40)}),
+               Record({Value(0), Value(5), Value(10)}),
+               Record({Value(1), Value(2), Value(30)}),
+               Record({Value(1), Value(7), Value(20)})},
+              Schema::Of({{"k", ValueType::kInt64},
+                          {"v", ValueType::kInt64},
+                          {"w", ValueType::kInt64}}));
+    ASSERT_TRUE(catalog_.Register("t", t).ok());
+  }
+
+  /// Serves `first` and then `second` through the context's JobServer, with
+  /// the plan cache and the result cache on; returns the rows of `second`.
+  std::multiset<std::string> ServeTwins(const std::string& first,
+                                        const std::string& second) {
+    std::vector<Record> rows;
+    for (const std::string* text : {&first, &second}) {
+      auto handle = ctx_.SubmitSql(*text, catalog_);
+      EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+      if (!handle.ok()) return {};
+      auto result = handle->Wait();
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) return {};
+      rows = result->output.records();
+    }
+    return Rows(rows);
+  }
+
+  sql::InMemoryCatalog catalog_;
+};
+
+TEST_F(ServiceSqlTwinTest, WarmCachesKeepAggregateKindsApart) {
+  EXPECT_EQ(ServeTwins("SELECT k, SUM(v) AS a FROM t GROUP BY k",
+                       "SELECT k, MAX(v) AS a FROM t GROUP BY k"),
+            Rows({Record({Value(0), Value(5)}), Record({Value(1), Value(7)})}));
+}
+
+TEST_F(ServiceSqlTwinTest, WarmCachesKeepOrderKeysApart) {
+  EXPECT_EQ(ServeTwins("SELECT k, v, w FROM t ORDER BY v LIMIT 3",
+                       "SELECT k, v, w FROM t ORDER BY w LIMIT 3"),
+            Rows({Record({Value(0), Value(5), Value(10)}),
+                  Record({Value(1), Value(7), Value(20)}),
+                  Record({Value(1), Value(2), Value(30)})}));
 }
 
 TEST_F(ServiceTest, OptingOutOfResultCacheRunsEveryStage) {

@@ -123,6 +123,26 @@ TEST_F(SqlFrontendTest, GroupByOrderByLimitPlan) {
       "#5 L:Collect <- #4 (sink)\n");
 }
 
+TEST_F(SqlFrontendTest, PhysicalExplainPrintsAggregatesAndOrderKey) {
+  // Physical operators render their payload with the same encoder as the
+  // logical plan above, so a declarative GROUP BY / ORDER BY is no [udf].
+  auto stmt = ctx_.Sql(
+      "SELECT dept, SUM(salary) AS total FROM emp GROUP BY dept "
+      "ORDER BY total DESC LIMIT 2",
+      catalog_);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto compiled = ctx_.Compile(stmt->plan(), ExecutionOptions{});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::string explain = compiled->Explain();
+  EXPECT_NE(explain.find("ReduceByKey"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("[key=$0 aggs=[first($0), sum($1)]]"),
+            std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("[k=2 desc key=total]"), std::string::npos)
+      << explain;
+  EXPECT_EQ(explain.find("[udf]"), std::string::npos) << explain;
+}
+
 TEST_F(SqlFrontendTest, DistinctPlan) {
   EXPECT_EQ(PlanOf("SELECT DISTINCT dept FROM emp"),
             "#0 L:CollectionSource [table=emp]\n"

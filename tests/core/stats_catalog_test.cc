@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/api/data_quanta.h"
 #include "core/operators/physical_ops.h"
+#include "core/optimizer/fingerprint.h"
 #include "core/optimizer/stats_catalog.h"
 #include "core/service/job_server.h"
 
@@ -243,9 +244,9 @@ TEST_F(StatsCatalogTest, FingerprintsArePlatformFreeAndDataSensitive) {
   auto a = build(100);
   auto b = build(100);   // same structure, same data
   auto c = build(101);   // same structure, different data
-  auto fa = ComputeCardinalityFingerprints(*a);
-  auto fb = ComputeCardinalityFingerprints(*b);
-  auto fc = ComputeCardinalityFingerprints(*c);
+  auto fa = PlanFingerprint::SubPlans(*a);
+  auto fb = PlanFingerprint::SubPlans(*b);
+  auto fc = PlanFingerprint::SubPlans(*c);
   ASSERT_TRUE(fa.ok() && fb.ok() && fc.ok());
   ASSERT_EQ(fa->size(), 3u);
 
@@ -297,6 +298,56 @@ TEST_F(StatsCatalogTest, SecondCompilationIsServedFromLearnedStatistics) {
   // Learned cardinalities override the lying hint: no mid-job re-plan.
   EXPECT_EQ(warm->metrics.reoptimizations, 0);
   EXPECT_EQ(warm->output.size(), cold->output.size());
+}
+
+// The enumerator switches a requested SortGroupBy to HashGroupBy after the
+// compile-time fingerprints are taken. The operator identity leaves the
+// algorithm out, so what the executor records under the switched plan is
+// found again by the next compilation of the same dataflow.
+TEST_F(StatsCatalogTest, SwitchedAlgorithmStillFindsLearnedCardinality) {
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  RheemJob job(&ctx);
+  std::vector<Record> rows;
+  for (int i = 0; i < 10000; ++i) rows.push_back(Record({Value(i % 10)}));
+  Plan* plan =
+      job.LoadCollection(Dataset(std::move(rows)))
+          .GroupByKey([](const Record& r) { return r[0]; },
+                      [](const Value& k, const std::vector<Record>&) {
+                        return std::vector<Record>{Record({k})};
+                      },
+                      /*key_distinct_ratio=*/0.1, GroupByAlgorithm::kSort)
+          .OnPlatform("javasim")
+          // A pinned consumer on another platform makes the group-by a
+          // stage output, whose cardinality the executor records.
+          .Map([](const Record& r) { return r; })
+          .OnPlatform("sparksim")
+          .Seal()
+          .ValueOrDie();
+
+  // Compiles the plan; returns the group-by's chosen algorithm and estimate.
+  auto compile = [&](GroupByAlgorithm* chosen) {
+    auto compiled = ctx.Compile(*plan, ExecutionOptions{});
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    for (std::size_t i = 0; compiled.ok() && i < compiled->physical->size();
+         ++i) {
+      if (auto* gb = dynamic_cast<GroupByKeyOp*>(compiled->physical->op(i))) {
+        *chosen = gb->algorithm();
+        return compiled->estimates.at(gb->id()).cardinality;
+      }
+    }
+    ADD_FAILURE() << "no group-by in the compiled plan";
+    return 0.0;
+  };
+  GroupByAlgorithm chosen = GroupByAlgorithm::kSort;
+  const double cold = compile(&chosen);
+  ASSERT_EQ(chosen, GroupByAlgorithm::kHash);  // the enumerator switched it
+  EXPECT_DOUBLE_EQ(cold, 1000.0);              // 10000 rows * 0.1 ratio
+
+  ASSERT_TRUE(ctx.Execute(*plan).ok());
+  const double warm = compile(&chosen);
+  EXPECT_EQ(chosen, GroupByAlgorithm::kHash);
+  EXPECT_DOUBLE_EQ(warm, 10.0);  // the ten distinct keys it observed
 }
 
 // stats.path round trip through the context/JobServer lifecycle: a context
